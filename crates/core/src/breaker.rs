@@ -22,10 +22,12 @@
 //! clock-discipline invariant rule applies here too) and exactly
 //! reproducible under seeded fault schedules.
 //!
-//! Concurrency: the fan-out consults each component's breaker from rayon
-//! workers. Races are benign — the worst case is one extra half-open
-//! probe when two serves transition the same breaker in the same round,
-//! which costs one component execution, never correctness.
+//! Concurrency: the fan-out consults each component's breaker on the
+//! serving thread, leg by leg. A service shared by several serving
+//! threads (e.g. behind an `Arc`) races benignly — the worst case is one
+//! extra half-open probe when two serves transition the same breaker in
+//! the same round, which costs one component execution, never
+//! correctness.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -132,21 +132,10 @@ impl<S: ApproximateService> Component<S> {
     }
 
     /// Process a whole batch of requests under one `policy` through a
-    /// single shared synopsis pass; `submitted[i]` is request `i`'s
-    /// submission instant (see [`Algorithm1::execute_batch`]).
+    /// single shared synopsis pass, with output buffers recycled through
+    /// `pool`; `submitted[i]` is request `i`'s submission instant (see
+    /// [`Algorithm1::execute_batch`]).
     pub fn execute_batch(
-        &self,
-        reqs: &[S::Request],
-        policy: &ExecutionPolicy,
-        submitted: &[Instant],
-    ) -> Vec<Outcome<S::Output>> {
-        Algorithm1::new(&self.data.dataset, &self.data.store, &self.service)
-            .execute_batch(reqs, policy, submitted)
-    }
-
-    /// [`execute_batch`](Self::execute_batch) with output buffers recycled
-    /// through `pool`.
-    pub fn execute_batch_pooled(
         &self,
         reqs: &[S::Request],
         policy: &ExecutionPolicy,
@@ -154,7 +143,7 @@ impl<S: ApproximateService> Component<S> {
         pool: &OutputPool<S::Output>,
     ) -> Vec<Outcome<S::Output>> {
         Algorithm1::new(&self.data.dataset, &self.data.store, &self.service)
-            .execute_batch_pooled(reqs, policy, submitted, pool)
+            .execute_batch(reqs, policy, submitted, pool)
     }
 
     /// Apply input-data changes and incrementally update the synopsis.

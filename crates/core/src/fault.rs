@@ -15,8 +15,9 @@
 //!
 //! Every injection decision is a pure function of `(seed, site,
 //! ordinal)`, where the ordinal counts that site's calls on *this*
-//! injector. Give each component its own injector (sharing one across
-//! rayon-parallel components would interleave ordinals racily) and a
+//! injector. Give each component its own injector (one shared across
+//! components would interleave their ordinals, and serving threads
+//! sharing a service would interleave them racily) and a
 //! schedule replays bit-identically: same seed, same faults, same
 //! victims. Probabilistic rules hash the ordinal through the vendored
 //! xorshift generator ([`rand::Xoshiro256PlusPlus`]) instead of drawing

@@ -15,11 +15,13 @@
 //!   via [`Algorithm1::execute`].
 //! * [`Component`] / [`FanOutService`] — one subset + synopsis per parallel
 //!   component; [`FanOutService::serve`] is the end-to-end request
-//!   lifecycle (rayon fan-out → compose → [`ServiceResponse`] telemetry),
-//!   [`FanOutService::serve_batch`] the batched equivalent (one fan-out and
-//!   one synopsis pass per component for a whole request stream), and
+//!   lifecycle (fan-out → compose → [`ServiceResponse`] telemetry),
+//!   [`FanOutService::serve_batch`] the batched equivalent (one synopsis
+//!   pass per component for a whole request stream), and
 //!   [`FanOutService::serve_with`] the heterogeneous per-component-policy
-//!   variant.
+//!   variant — all through one driver. The component legs run in order on
+//!   the serving thread; cores come from `at-server`'s `ShardedServer`
+//!   workers, one serving thread each.
 //! * [`OutputPool`] — typed recycling of per-component output buffers, so
 //!   a warm service serves batches without steady-state allocation.
 //! * [`clock`] — the serving stack's single clock gateway: every wall-clock

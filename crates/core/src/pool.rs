@@ -44,8 +44,10 @@ const DEFAULT_RETAIN: usize = 4096;
 ///
 /// `get` pops a previously returned buffer (or `None` when cold — the
 /// caller then allocates fresh, exactly once per buffer ever in flight);
-/// `put` returns a buffer for the next request. Shared across rayon
-/// workers (`&OutputPool` is `Sync` for `T: Send`).
+/// `put` returns a buffer for the next request. The component legs of a
+/// serve run in order on the serving thread, so they take turns on the
+/// pool; the lock keeps it safe to share (`&OutputPool` is `Sync` for
+/// `T: Send`).
 #[derive(Debug)]
 pub struct OutputPool<T> {
     free: Mutex<Vec<T>>,
@@ -78,7 +80,7 @@ impl<T> OutputPool<T> {
     }
 
     /// Lock the free list, recovering from a poisoned mutex. A panicking
-    /// worker (e.g. one rayon fan-out leg dying mid-request) must not turn
+    /// thread (e.g. a fan-out leg dying mid-request) must not turn
     /// every later serve into a panic cascade: the pooled buffers are only
     /// recycled storage, so recovery is simply discarding the free list —
     /// subsequent requests allocate fresh, exactly like a cold pool. The

@@ -14,8 +14,10 @@
 //!   requests through **one** stage-1 pass over the synopsis
 //!   ([`ApproximateService::process_synopsis_batch`]), each request keeping
 //!   its own deadline/budget accounting; bit-identical to mapping
-//!   `execute` over the batch. The `*_pooled` variants recycle output
-//!   buffers through an [`OutputPool`](crate::OutputPool).
+//!   `execute` over the batch. It and
+//!   [`execute_pooled`](Algorithm1::execute_pooled) recycle output buffers
+//!   through an [`OutputPool`](crate::OutputPool); `execute` is
+//!   `execute_pooled` over an empty pool.
 //!
 //! Ranked sets whose aggregated point has gone stale (present in the
 //! synopsis but missing from the index file) are *skipped*, not fatal:
@@ -26,10 +28,13 @@
 //!
 //! `execute` is the per-request serving path and holds two invariants:
 //!
-//! * **No per-set allocation.** The correlation vector is a per-worker
-//!   scratch buffer reused across requests (a thread-local, so every rayon
-//!   worker in [`FanOutService::serve`](crate::FanOutService::serve) keeps
-//!   its own); [`ApproximateService::process_synopsis`] fills it in place.
+//! * **No per-set allocation.** The correlation vectors are one
+//!   thread-local scratch shared by the single-request and batch drivers
+//!   and reused across requests. [`FanOutService::serve`](crate::FanOutService::serve)
+//!   runs its component legs in order on the serving thread, so that
+//!   thread's scratch stays warm across every component; cores come from
+//!   `at-server`'s `ShardedServer` workers, each with its own scratch.
+//!   [`ApproximateService::process_synopsis`] fills it in place.
 //!   Weight computation ([`at_linalg::pearson_on_common`]) is a streaming
 //!   merge with no intermediate vectors, and neighbour means come from the
 //!   [`at_linalg::RowStats`] caches in the stores.
@@ -54,35 +59,19 @@ use crate::policy::ExecutionPolicy;
 use crate::pool::OutputPool;
 
 thread_local! {
-    /// Per-worker correlation scratch, reused across requests. Capacity
-    /// converges to the largest synopsis this worker has served.
-    static CORR_SCRATCH: RefCell<Vec<Correlation>> = const { RefCell::new(Vec::new()) };
-
-    /// Per-worker batch correlation scratch: one vector per in-flight
-    /// request of a batch, reused across batches. Grows to the largest
-    /// batch this worker has served.
-    static BATCH_SCRATCH: RefCell<Vec<Vec<Correlation>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Run `f` with this worker's cleared correlation scratch buffer. Falls
-/// back to a fresh vector under re-entrancy (a service calling back into
-/// `execute` on the same thread) so the serving path can never deadlock on
-/// its own scratch.
-fn with_corr_scratch<R>(f: impl FnOnce(&mut Vec<Correlation>) -> R) -> R {
-    CORR_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut buf) => {
-            buf.clear();
-            f(&mut buf)
-        }
-        Err(_) => f(&mut Vec::new()),
-    })
+    /// Per-worker correlation scratch: one vector per in-flight request,
+    /// reused across requests and batches by both drivers. Grows to the
+    /// largest batch (and each vector to the largest synopsis) this
+    /// worker has served.
+    static SCRATCH: RefCell<Vec<Vec<Correlation>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Run `f` with `n` cleared correlation scratch buffers from this worker's
-/// batch scratch (fresh vectors under re-entrancy, like
-/// [`with_corr_scratch`]).
-fn with_batch_scratch<R>(n: usize, f: impl FnOnce(&mut [Vec<Correlation>]) -> R) -> R {
-    BATCH_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+/// scratch. Falls back to fresh vectors under re-entrancy (a service
+/// calling back into the engine on the same thread) so the serving path
+/// can never deadlock on its own scratch.
+fn with_scratch<R>(n: usize, f: impl FnOnce(&mut [Vec<Correlation>]) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut bufs) => {
             if bufs.len() < n {
                 bufs.resize_with(n, Vec::new);
@@ -262,14 +251,7 @@ impl<'a, S: ApproximateService> Algorithm1<'a, S> {
         policy: &ExecutionPolicy,
         submitted: Instant,
     ) -> Outcome<S::Output> {
-        if let ExecutionPolicy::Exact = policy {
-            return self.execute_exact(req);
-        }
-        with_corr_scratch(|corr| {
-            let mut out = self.service.process_synopsis(self.ctx, req, corr);
-            self.improve_best_first(req, policy, submitted, corr, &mut out)
-                .map(|()| out)
-        })
+        self.execute_pooled(req, policy, submitted, &OutputPool::new())
     }
 
     /// [`execute`](Self::execute), drawing the output buffer from `pool`
@@ -291,7 +273,9 @@ impl<'a, S: ApproximateService> Algorithm1<'a, S> {
             // pooled.
             return self.execute_exact(req);
         }
-        with_corr_scratch(|corr| {
+        with_scratch(1, |corrs| {
+            // lint: allow(panic-freedom) reason=with_scratch hands out exactly n = 1 buffers
+            let corr = &mut corrs[0];
             let mut out = match pool.get() {
                 Some(mut buf) => {
                     self.service
@@ -314,7 +298,9 @@ impl<'a, S: ApproximateService> Algorithm1<'a, S> {
     /// policies, batched execution is bit-identical to mapping
     /// [`execute`](Self::execute) over the batch (a *live*
     /// [`ExecutionPolicy::Deadline`] additionally counts time spent behind
-    /// earlier batch members, like any queueing delay).
+    /// earlier batch members, like any queueing delay). Output buffers are
+    /// recycled through `pool` (one `get` per request where the pool has
+    /// buffers, fresh allocations only for the remainder).
     ///
     /// # Panics
     /// Panics when `reqs` and `submitted` differ in length.
@@ -323,29 +309,7 @@ impl<'a, S: ApproximateService> Algorithm1<'a, S> {
         reqs: &[S::Request],
         policy: &ExecutionPolicy,
         submitted: &[Instant],
-    ) -> Vec<Outcome<S::Output>> {
-        self.execute_batch_with(reqs, policy, submitted, None)
-    }
-
-    /// [`execute_batch`](Self::execute_batch) with output buffers recycled
-    /// through `pool` (one `get` per request where the pool has buffers,
-    /// fresh allocations only for the remainder).
-    pub fn execute_batch_pooled(
-        &self,
-        reqs: &[S::Request],
-        policy: &ExecutionPolicy,
-        submitted: &[Instant],
         pool: &OutputPool<S::Output>,
-    ) -> Vec<Outcome<S::Output>> {
-        self.execute_batch_with(reqs, policy, submitted, Some(pool))
-    }
-
-    fn execute_batch_with(
-        &self,
-        reqs: &[S::Request],
-        policy: &ExecutionPolicy,
-        submitted: &[Instant],
-        pool: Option<&OutputPool<S::Output>>,
     ) -> Vec<Outcome<S::Output>> {
         assert_eq!(
             reqs.len(),
@@ -358,11 +322,9 @@ impl<'a, S: ApproximateService> Algorithm1<'a, S> {
         if let ExecutionPolicy::Exact = policy {
             return reqs.iter().map(|req| self.execute_exact(req)).collect();
         }
-        with_batch_scratch(reqs.len(), |corrs| {
+        with_scratch(reqs.len(), |corrs| {
             let mut outs = Vec::with_capacity(reqs.len());
-            if let Some(pool) = pool {
-                pool.get_up_to(reqs.len(), &mut outs);
-            }
+            pool.get_up_to(reqs.len(), &mut outs);
             self.service
                 .process_synopsis_batch(self.ctx, reqs, corrs, &mut outs);
             // Hard contract check (O(1) per batch): a short `outs` would
@@ -879,16 +841,17 @@ mod tests {
         let plain = Algorithm1::new(&data, &store, &svc);
         let staled = Algorithm1::new(&data, &store, &stale);
         let reqs: Vec<u32> = vec![0, 3, 7, 3, 11];
+        let pool = OutputPool::new();
         for policy in deterministic_policies() {
             let submitted = vec![Instant::now(); reqs.len()];
-            let batch = plain.execute_batch(&reqs, &policy, &submitted);
+            let batch = plain.execute_batch(&reqs, &policy, &submitted, &pool);
             assert_eq!(batch.len(), reqs.len());
             for ((req, &sub), got) in reqs.iter().zip(&submitted).zip(&batch) {
                 let want = plain.execute(req, &policy, sub);
                 assert_eq!(got.output, want.output, "{policy:?} req {req}");
                 assert_eq!(got.stats(), want.stats(), "{policy:?} req {req}");
             }
-            let batch = staled.execute_batch(&reqs, &policy, &submitted);
+            let batch = staled.execute_batch(&reqs, &policy, &submitted, &pool);
             for ((req, &sub), got) in reqs.iter().zip(&submitted).zip(&batch) {
                 let want = staled.execute(req, &policy, sub);
                 assert_eq!(got.output, want.output, "stale {policy:?} req {req}");
@@ -910,7 +873,7 @@ mod tests {
             return; // monotonic clock younger than the offset (fresh boot)
         };
         let submitted = vec![now, past, now];
-        let batch = engine.execute_batch(&[2u32, 2, 2], &policy, &submitted);
+        let batch = engine.execute_batch(&[2u32, 2, 2], &policy, &submitted, &OutputPool::new());
         assert_eq!(batch[0].sets_processed, batch[0].sets_total);
         assert_eq!(batch[1].sets_processed, 0, "expired request does no work");
         assert_eq!(batch[2].sets_processed, batch[2].sets_total);
@@ -922,7 +885,12 @@ mod tests {
         let (data, store) = setup();
         let svc = SumService;
         let engine = Algorithm1::new(&data, &store, &svc);
-        engine.execute_batch(&[1u32, 2], &ExecutionPolicy::budgeted(1), &[Instant::now()]);
+        engine.execute_batch(
+            &[1u32, 2],
+            &ExecutionPolicy::budgeted(1),
+            &[Instant::now()],
+            &OutputPool::new(),
+        );
     }
 
     #[test]
@@ -931,7 +899,7 @@ mod tests {
         let svc = SumService;
         let engine = Algorithm1::new(&data, &store, &svc);
         assert!(engine
-            .execute_batch(&[], &ExecutionPolicy::budgeted(1), &[])
+            .execute_batch(&[], &ExecutionPolicy::budgeted(1), &[], &OutputPool::new())
             .is_empty());
     }
 
@@ -940,13 +908,13 @@ mod tests {
         let (data, store) = setup();
         let svc = SumService;
         let engine = Algorithm1::new(&data, &store, &svc);
-        let pool = crate::OutputPool::new();
+        let pool = OutputPool::new();
         let reqs: Vec<u32> = vec![1, 4, 9];
         let submitted = vec![Instant::now(); reqs.len()];
         for policy in deterministic_policies() {
             // Two rounds: the first warms the pool, the second reuses.
             for _ in 0..2 {
-                let batch = engine.execute_batch_pooled(&reqs, &policy, &submitted, &pool);
+                let batch = engine.execute_batch(&reqs, &policy, &submitted, &pool);
                 for ((req, &sub), got) in reqs.iter().zip(&submitted).zip(batch) {
                     let want = engine.execute(req, &policy, sub);
                     assert_eq!(got.output, want.output, "{policy:?} req {req}");
@@ -977,6 +945,26 @@ mod tests {
             assert_eq!(first.output, again.output);
             assert_eq!(first.sets_processed, again.sets_processed);
             assert_eq!(first.sets_total, again.sets_total);
+        }
+        // Both drivers draw on the same thread-local scratch: interleave
+        // batches of width 3 and 1 with single requests, each of which
+        // leaves the scratch holding another request's correlations.
+        let policy = ExecutionPolicy::budgeted(3);
+        let pool = OutputPool::new();
+        let reqs = [1u32, 4, 9];
+        let alone: Vec<Outcome<f64>> = reqs
+            .iter()
+            .map(|r| engine.execute(r, &policy, Instant::now()))
+            .collect();
+        for round in 0..4 {
+            let submitted = [Instant::now(); 3];
+            let wide = engine.execute_batch(&reqs, &policy, &submitted, &pool);
+            assert_eq!(wide, alone, "width-3 batch, round {round}");
+            let r = round % reqs.len();
+            let narrow = engine.execute_batch(&reqs[r..=r], &policy, &submitted[..1], &pool);
+            assert_eq!(narrow, alone[r..=r], "width-1 batch, round {round}");
+            let single = engine.execute(&reqs[r], &policy, Instant::now());
+            assert_eq!(single, alone[r], "single request, round {round}");
         }
     }
 }

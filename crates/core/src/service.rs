@@ -2,30 +2,31 @@
 //! and response composition.
 //!
 //! Mirrors the paper's deployment (§4.3): one partitioning component, `n`
-//! parallel processing components, one composing component. In-process we
-//! fan out with rayon (the Storm-topology substitute); the latency behaviour
-//! of a *distributed* deployment is modelled separately by `at-sim`.
+//! parallel processing components, one composing component. In-process,
+//! the component legs run in component order on the serving thread, so
+//! that thread's scratch and pooled buffers stay warm; cores come from
+//! `at-server`'s `ShardedServer` workers, one serving thread each. The
+//! latency behaviour of a *distributed* deployment, where the legs run in
+//! parallel and the slowest one sets the response time, is modelled by
+//! `at-sim`.
 //!
-//! [`FanOutService::serve`] is the single request-lifecycle entry point:
-//! it fans the request out under one [`ExecutionPolicy`], composes the
+//! One private driver serves every entry point. [`FanOutService::serve`]
+//! runs one request under one [`ExecutionPolicy`], composes the
 //! per-component partial outputs through the service's
 //! [`ComposableService::compose`] hook, and returns the response together
 //! with aggregated telemetry ([`ServiceResponse`]).
-//!
+//! [`FanOutService::serve_with`] gives each component its own policy.
 //! Request *streams* go through [`FanOutService::serve_batch`]: one
-//! fan-out and one per-component synopsis pass cover the whole batch, each
-//! request keeping its own submission instant, policy accounting, and
-//! telemetry — provably identical to serving the requests one at a time
-//! under every clock-free policy (live deadlines additionally count time
-//! spent waiting behind the batch, like any queueing delay).
-//! [`FanOutService::serve_with`] drives heterogeneous per-component
-//! policies through the same plumbing. Output buffers are recycled across
-//! all of these via the service's [`OutputPool`].
+//! per-component synopsis pass covers the whole batch, each request
+//! keeping its own submission instant, policy accounting, and telemetry —
+//! provably identical to serving the requests one at a time under every
+//! clock-free policy (live deadlines additionally count time spent waiting
+//! behind the batch, like any queueing delay). Output buffers are recycled
+//! across all of these via the service's [`OutputPool`].
 
 use std::fmt;
+use std::slice;
 use std::time::{Duration, Instant};
-
-use rayon::prelude::*;
 
 use at_synopsis::{AggregationMode, RowStore, SparseRow, SynopsisConfig};
 
@@ -68,6 +69,64 @@ const COLLAPSE_BAIL_MIN_SCAN: usize = 32;
 /// this; adversarially unique batches sit far above).
 fn collapse_should_bail(uniques: usize, scanned: usize) -> bool {
     scanned >= COLLAPSE_BAIL_MIN_SCAN && uniques * 2 > scanned
+}
+
+/// The distinct requests of a batch: `reqs[u]`, submitted at
+/// `submitted[u]`, is the `u`-th distinct request in first-occurrence
+/// order, and `unique_of[i]` is the distinct request that serves original
+/// request `i`.
+struct Collapsed<Q> {
+    reqs: Vec<Q>,
+    submitted: Vec<Instant>,
+    unique_of: Vec<usize>,
+}
+
+/// How the serving driver collapses duplicates, for request types that
+/// can be compared and cloned ([`collapse`]); single-request entry points
+/// pass none.
+type Dedup<Q> = fn(&[Q], &[Instant]) -> Option<Collapsed<Q>>;
+
+/// Collapse the duplicate requests of a batch, or `None` when every
+/// request is served as its own.
+///
+/// The linear probe per request is trivial on the duplicate-heavy batches
+/// collapsing exists for, but O(batch × uniques) on high-uniqueness
+/// batches — so once the scanned prefix proves mostly unique
+/// ([`collapse_should_bail`]) the remainder is taken as-is, each request
+/// its own unique. Collapsing is purely an optimization: uncollapsed
+/// duplicates are still served correctly, just without sharing their
+/// computation.
+fn collapse<Q: Clone + PartialEq>(reqs: &[Q], submitted: &[Instant]) -> Option<Collapsed<Q>> {
+    // `firsts[u]` is the original index of unique request `u`.
+    let mut firsts: Vec<usize> = Vec::new();
+    let mut unique_of: Vec<usize> = Vec::with_capacity(reqs.len());
+    for (i, req) in reqs.iter().enumerate() {
+        if collapse_should_bail(firsts.len(), i) {
+            for j in i..reqs.len() {
+                unique_of.push(firsts.len());
+                firsts.push(j);
+            }
+            break;
+        }
+        // lint: allow(panic-freedom) reason=f collected from enumerate over reqs, always in bounds
+        match firsts.iter().position(|&f| reqs[f] == *req) {
+            Some(u) => unique_of.push(u),
+            None => {
+                unique_of.push(firsts.len());
+                firsts.push(i);
+            }
+        }
+    }
+    if firsts.len() == reqs.len() {
+        return None;
+    }
+    Some(Collapsed {
+        // lint: allow(panic-freedom) reason=firsts holds indices of reqs by construction
+        reqs: firsts.iter().map(|&i| reqs[i].clone()).collect(),
+        // lint: allow(panic-freedom) reason=firsts holds indices of reqs, and the driver asserts reqs.len() == submitted.len()
+        submitted: firsts.iter().map(|&i| submitted[i]).collect(),
+        unique_of,
+    })
 }
 
 /// Split rows round-robin into `n` subsets of a `feature_dim`-column space —
@@ -199,34 +258,24 @@ impl<R> ServiceResponse<R> {
 /// ≈ 0 cost until a half-open probe finds it healthy again. `compose`
 /// runs over the surviving components' parts, on the caller's thread,
 /// **outside** the boundary — a composing-component failure is the
-/// caller's to supervise. [`broadcast`](Self::broadcast) is raw and
-/// uncontained by design (its callers want the outcomes, panics and
-/// all).
+/// caller's to supervise.
 pub struct FanOutService<S: ApproximateService> {
     components: Vec<Component<S>>,
     breakers: Vec<CircuitBreaker>,
     pool: OutputPool<S::Output>,
 }
 
-impl<S> FanOutService<S>
-where
-    S: ApproximateService + Sync,
-    S::Request: Sync,
-    S::Output: Send,
-{
-    /// Build every component from its subset (parallel offline pipeline).
+impl<S: ApproximateService> FanOutService<S> {
+    /// Build every component from its subset, in component order.
     pub fn build(
         subsets: Vec<RowStore>,
         mode: AggregationMode,
         config: SynopsisConfig,
-        make_service: impl Fn() -> S + Sync,
-    ) -> Self
-    where
-        S: Send,
-    {
+        make_service: impl Fn() -> S,
+    ) -> Self {
         assert!(!subsets.is_empty(), "service needs >= 1 component");
         let components: Vec<Component<S>> = subsets
-            .into_par_iter()
+            .into_iter()
             .map(|subset| Component::build(subset, mode, config, make_service()).0)
             .collect();
         Self::from_components(components)
@@ -369,31 +418,17 @@ where
         }
     }
 
-    /// Fan a request out to all components under one policy; raw outcomes
-    /// arrive in component order. Prefer [`serve`](Self::serve) when the
-    /// service composes a user-visible response.
-    pub fn broadcast(
-        &self,
-        req: &S::Request,
-        policy: &ExecutionPolicy,
-        submitted: Instant,
-    ) -> Vec<Outcome<S::Output>> {
-        self.components
-            .par_iter()
-            .map(|c| c.execute(req, policy, submitted))
-            .collect()
-    }
-
     /// Serve one request end to end: fan out under `policy`, compose the
     /// partial outputs, and aggregate telemetry. The request is treated as
     /// submitted now; use [`serve_at`](Self::serve_at) when upstream
     /// queueing delay must count against a deadline policy.
     ///
-    /// The per-component hot path is allocation-free across requests: each
-    /// rayon worker reuses a thread-local correlation scratch buffer inside
-    /// [`Algorithm1::execute`](crate::Algorithm1::execute), so steady-state
-    /// serving performs no per-set allocation (see the hot-path invariants
-    /// in [`crate::processor`]).
+    /// The per-component hot path is allocation-free across requests: the
+    /// legs run on the calling thread, which reuses one thread-local
+    /// correlation scratch inside
+    /// [`Algorithm1::execute_pooled`](crate::Algorithm1::execute_pooled)
+    /// for every component, so steady-state serving performs no per-set
+    /// allocation (see the hot-path invariants in [`crate::processor`]).
     pub fn serve(&self, req: &S::Request, policy: &ExecutionPolicy) -> ServiceResponse<S::Response>
     where
         S: ComposableService,
@@ -422,7 +457,7 @@ where
     pub fn serve_with(
         &self,
         req: &S::Request,
-        policy_of: impl Fn(usize) -> ExecutionPolicy + Sync + Send,
+        policy_of: impl Fn(usize) -> ExecutionPolicy,
     ) -> ServiceResponse<S::Response>
     where
         S: ComposableService,
@@ -434,78 +469,32 @@ where
     pub fn serve_with_at(
         &self,
         req: &S::Request,
-        policy_of: impl Fn(usize) -> ExecutionPolicy + Sync + Send,
+        policy_of: impl Fn(usize) -> ExecutionPolicy,
         submitted: Instant,
     ) -> ServiceResponse<S::Response>
     where
         S: ComposableService,
     {
-        let pool = &self.pool;
-        let policy_of = &policy_of;
-        let outcomes: Vec<Option<Outcome<S::Output>>> = self
-            .components
-            .par_iter()
-            .enumerate()
-            .map(|(i, c)| self.leg(i, || c.execute_pooled(req, &policy_of(i), submitted, pool)))
-            .collect();
-        // Costliest per-component policy, ties to the larger effective cap;
-        // the fold from `policy_of(0)` keeps `>=` so later equal-key
-        // policies win, exactly like `max_by_key`, without an `expect` on
-        // the (constructor-guaranteed) non-emptiness.
-        let key = |p: &ExecutionPolicy| (p.cost_rank(), p.effective_cap(usize::MAX));
-        let policy_applied =
-            (1..self.components.len())
-                .map(policy_of)
-                .fold(
-                    policy_of(0),
-                    |best, p| {
-                        if key(&p) >= key(&best) {
-                            p
-                        } else {
-                            best
-                        }
-                    },
-                );
-        let mut components: Vec<ComponentTelemetry> = Vec::with_capacity(self.components.len());
-        let mut components_failed: Vec<usize> = Vec::new();
-        let mut parts: Vec<S::Output> = Vec::with_capacity(self.components.len());
-        for ((i, outcome), component) in outcomes.into_iter().enumerate().zip(&self.components) {
-            match outcome {
-                Some(o) => {
-                    components.push(o.stats());
-                    parts.push(o.output);
-                }
-                None => {
-                    components.push(Self::failed_telemetry(component));
-                    components_failed.push(i);
-                }
-            }
-        }
-        // lint: allow(panic-freedom) reason=components nonempty, asserted in from_components
-        let response = self.components[0].service().compose(req, &parts);
-        for part in parts {
-            self.pool.put(part);
-        }
-        ServiceResponse {
-            response,
-            policy_applied,
-            components,
-            components_failed,
-            elapsed: clock::elapsed_since(submitted),
-        }
+        let mut responses = self.drive(
+            slice::from_ref(req),
+            policy_of,
+            slice::from_ref(&submitted),
+            None,
+        );
+        // lint: allow(panic-freedom) reason=drive answers every request it is given, and it was given one
+        responses.pop().expect("one response per request")
     }
 
     /// Serve a whole **batch** of requests end to end under one policy,
-    /// all treated as submitted now. One fan-out covers the entire batch:
-    /// each component worker makes a single stage-1 pass over its synopsis
-    /// shared by every request
+    /// all treated as submitted now. Each component makes a single stage-1
+    /// pass over its synopsis shared by every request
     /// ([`ApproximateService::process_synopsis_batch`]), then improves and
     /// composes each request independently. Under
     /// [clock-free](ExecutionPolicy::is_clock_free) policies (and the
     /// degenerate deadline cases — already expired, or generous enough to
     /// improve everything), responses and telemetry are identical to
     /// mapping [`serve`](Self::serve) over the batch, at a fraction of the
-    /// fan-out and allocation cost. A *live* `Deadline` races the shared
+    /// stage-1 and allocation cost. A *live* `Deadline` races the shared
     /// batch pass against each request's own clock: every request keeps
     /// its own accounting, but late-in-batch requests see more elapsed
     /// time than they would served alone — exactly the paper's queueing
@@ -560,7 +549,7 @@ where
     /// let cfg = SynopsisConfig { size_ratio: 10, ..SynopsisConfig::default() };
     /// let service = FanOutService::build(subsets, AggregationMode::Mean, cfg, || CountRows);
     ///
-    /// // A burst of four requests shares one fan-out and synopsis pass.
+    /// // A burst of four requests shares one synopsis pass per component.
     /// let batch = vec![(); 4];
     /// let policy = ExecutionPolicy::budgeted(usize::MAX);
     /// let responses = service.serve_batch(&batch, &policy);
@@ -580,8 +569,7 @@ where
         S: ComposableService,
         S::Request: Clone + PartialEq,
     {
-        let submitted = vec![clock::now(); reqs.len()];
-        self.serve_batch_at(reqs, policy, &submitted)
+        self.serve_batch_at(reqs, policy, &vec![clock::now(); reqs.len()])
     }
 
     /// [`serve_batch`](Self::serve_batch) with one explicit submission
@@ -600,6 +588,33 @@ where
         S: ComposableService,
         S::Request: Clone + PartialEq,
     {
+        self.drive(reqs, |_| *policy, submitted, Some(collapse))
+    }
+
+    /// The serving driver behind every `serve*` entry point. Component
+    /// `i`'s leg runs under `policy_of(i)`, in component order on the
+    /// calling thread, behind its breaker and inside the containment
+    /// boundary; then each request's response is composed from the
+    /// surviving legs' parts, and every part goes back to the pool.
+    ///
+    /// A batch wider than one whose legs are all clock-free is first
+    /// collapsed through `dedup`. A (collapsed) width of one runs each leg
+    /// through [`Component::execute_pooled`], which allocates nothing when
+    /// warm; a wider batch runs through [`Component::execute_batch`]'s
+    /// shared synopsis pass.
+    ///
+    /// # Panics
+    /// Panics when `reqs` and `submitted` differ in length.
+    fn drive(
+        &self,
+        reqs: &[S::Request],
+        policy_of: impl Fn(usize) -> ExecutionPolicy,
+        submitted: &[Instant],
+        dedup: Option<Dedup<S::Request>>,
+    ) -> Vec<ServiceResponse<S::Response>>
+    where
+        S: ComposableService,
+    {
         assert_eq!(
             reqs.len(),
             submitted.len(),
@@ -608,108 +623,54 @@ where
         if reqs.is_empty() {
             return Vec::new();
         }
-        // Batch-of-one fast path: collapse scanning, unique-index
-        // bookkeeping, pooled batch buffers and the regroup/compose passes
-        // all exist to share work *between* requests — with one request
-        // there is nothing to share, so delegate straight to the single-
-        // request path. `serve_at` runs the identical per-component op
-        // sequence (`execute_pooled` ≡ `execute_batch_pooled` at width 1,
-        // proptest-pinned by `serve_batch_equals_mapped_serve`), so the
-        // response is the same — this branch only sheds the batch
-        // bookkeeping that made serve_batch_1 measurably slower than a
-        // bare serve.
-        if reqs.len() == 1 {
-            if let (Some(req), Some(&sub)) = (reqs.first(), submitted.first()) {
-                return vec![self.serve_at(req, policy, sub)];
+        let n = self.components.len();
+        let collapsed = match dedup {
+            Some(dedup) if reqs.len() > 1 && (0..n).all(|i| policy_of(i).is_clock_free()) => {
+                dedup(reqs, submitted)
             }
-        }
-        // Collapse duplicate requests (clock-free policies only):
-        // `firsts[u]` is the original index of unique request `u`,
-        // `unique_of[i]` the unique index serving original request `i`.
-        // The linear probe per request is trivial on the duplicate-heavy
-        // batches collapsing exists for, but O(batch × uniques) on
-        // high-uniqueness batches — so once the scanned prefix proves
-        // mostly unique ([`collapse_should_bail`]) the remainder is taken
-        // as-is, each request its own unique. Collapsing is purely an
-        // optimization: uncollapsed duplicates are still served correctly,
-        // just without sharing their computation.
-        let mut firsts: Vec<usize> = Vec::new();
-        let mut unique_of: Vec<usize> = Vec::with_capacity(reqs.len());
-        if policy.is_clock_free() {
-            for (i, req) in reqs.iter().enumerate() {
-                if collapse_should_bail(firsts.len(), i) {
-                    for j in i..reqs.len() {
-                        unique_of.push(firsts.len());
-                        firsts.push(j);
-                    }
-                    break;
-                }
-                // lint: allow(panic-freedom) reason=f collected from enumerate over reqs, always in bounds
-                match firsts.iter().position(|&f| reqs[f] == *req) {
-                    Some(u) => unique_of.push(u),
-                    None => {
-                        unique_of.push(firsts.len());
-                        firsts.push(i);
-                    }
-                }
-            }
-        } else {
-            firsts = (0..reqs.len()).collect();
-            unique_of = firsts.clone();
-        }
-
-        // One fan-out for the whole (collapsed) batch: `per_component[c][u]`
-        // is component c's outcome for unique request u — or `None` for
-        // the whole leg when component c failed (contained panic) or was
-        // skipped by its open breaker. A leg-fatal fault planned for any
-        // request of the batch fails the component's whole batch leg:
-        // containment is per-leg, not per-request.
-        let pool = &self.pool;
-        let per_component: Vec<Option<Vec<Outcome<S::Output>>>> = if firsts.len() < reqs.len() {
-            // lint: allow(panic-freedom) reason=firsts holds indices of reqs by construction; reqs.len() == submitted.len() asserted above
-            let unique_reqs: Vec<S::Request> = firsts.iter().map(|&i| reqs[i].clone()).collect();
-            // lint: allow(panic-freedom) reason=firsts holds indices of reqs by construction; reqs.len() == submitted.len() asserted above
-            let unique_submitted: Vec<Instant> = firsts.iter().map(|&i| submitted[i]).collect();
-            self.components
-                .par_iter()
-                .enumerate()
-                .map(|(ci, c)| {
-                    self.leg(ci, || {
-                        c.execute_batch_pooled(&unique_reqs, policy, &unique_submitted, pool)
-                    })
-                })
-                .collect()
-        } else {
-            self.components
-                .par_iter()
-                .enumerate()
-                .map(|(ci, c)| {
-                    self.leg(ci, || c.execute_batch_pooled(reqs, policy, submitted, pool))
-                })
-                .collect()
+            _ => None,
+        };
+        let (unique_reqs, unique_submitted) = match &collapsed {
+            Some(c) => (c.reqs.as_slice(), c.submitted.as_slice()),
+            None => (reqs, submitted),
         };
 
-        // Regroup by unique request, splitting telemetry from outputs.
-        // A failed leg contributes a failed-telemetry row to every unique
-        // request (the component was down for the whole batch) and no
-        // output part: compose sees the survivors only.
-        let mut telemetry: Vec<Vec<ComponentTelemetry>> = (0..firsts.len())
-            .map(|_| Vec::with_capacity(self.components.len()))
-            .collect();
-        let mut parts: Vec<Vec<S::Output>> = (0..firsts.len())
-            .map(|_| Vec::with_capacity(self.components.len()))
-            .collect();
+        // Per unique request, in component order: telemetry rows and the
+        // output parts to compose. A failed or breaker-skipped leg adds a
+        // failed-telemetry row to every unique request (the component was
+        // down for the whole batch) and no part: compose sees the
+        // survivors only. A leg-fatal fault planned for any request of the
+        // batch fails the component's whole leg: containment is per leg,
+        // not per request.
+        let mut telemetry: Vec<Vec<ComponentTelemetry>> =
+            unique_reqs.iter().map(|_| Vec::with_capacity(n)).collect();
+        let mut parts: Vec<Vec<S::Output>> =
+            unique_reqs.iter().map(|_| Vec::with_capacity(n)).collect();
         let mut components_failed: Vec<usize> = Vec::new();
-        for ((ci, leg_outcomes), component) in
-            per_component.into_iter().enumerate().zip(&self.components)
-        {
-            match leg_outcomes {
-                Some(outcomes) => {
-                    for (u, outcome) in outcomes.into_iter().enumerate() {
-                        // lint: allow(panic-freedom) reason=execute_batch returns one outcome per unique request, so u < firsts.len()
-                        telemetry[u].push(outcome.stats());
-                        // lint: allow(panic-freedom) reason=execute_batch returns one outcome per unique request, so u < firsts.len()
-                        parts[u].push(outcome.output);
+        for (ci, component) in self.components.iter().enumerate() {
+            let policy = policy_of(ci);
+            // Exactly one of the pair is filled: the single-request driver
+            // at width one (its empty `Vec` never allocates), the batch
+            // driver otherwise.
+            let leg = self.leg(ci, || match (unique_reqs, unique_submitted) {
+                ([req], [sub]) => (
+                    Some(component.execute_pooled(req, &policy, *sub, &self.pool)),
+                    Vec::new(),
+                ),
+                _ => (
+                    None,
+                    component.execute_batch(unique_reqs, &policy, unique_submitted, &self.pool),
+                ),
+            });
+            match leg {
+                Some((one, many)) => {
+                    for ((rows, unique_parts), outcome) in telemetry
+                        .iter_mut()
+                        .zip(&mut parts)
+                        .zip(one.into_iter().chain(many))
+                    {
+                        rows.push(outcome.stats());
+                        unique_parts.push(outcome.output);
                     }
                 }
                 None => {
@@ -721,30 +682,50 @@ where
             }
         }
 
-        // Compose per original request (each from its unique's parts),
-        // then recycle every unique request's buffers.
+        // Costliest per-component policy, ties to the larger effective cap;
+        // the fold from `policy_of(0)` keeps `>=` so later equal-key
+        // policies win, exactly like `max_by_key`, without an `expect` on
+        // the (constructor-guaranteed) non-emptiness.
+        let key = |p: &ExecutionPolicy| (p.cost_rank(), p.effective_cap(usize::MAX));
+        let policy_applied =
+            (1..n).map(&policy_of).fold(
+                policy_of(0),
+                |best, p| {
+                    if key(&p) >= key(&best) {
+                        p
+                    } else {
+                        best
+                    }
+                },
+            );
+
+        // Compose per original request, each from its unique's parts.
         // lint: allow(panic-freedom) reason=components nonempty, asserted in from_components
         let composer = self.components[0].service();
-        let responses = reqs
-            .iter()
-            .zip(submitted)
-            .zip(&unique_of)
-            .map(|((req, &sub), &u)| ServiceResponse {
-                // lint: allow(panic-freedom) reason=unique_of maps into firsts, so u < firsts.len() == parts.len() == telemetry.len()
-                response: composer.compose(req, &parts[u]),
-                policy_applied: *policy,
-                // lint: allow(panic-freedom) reason=unique_of maps into firsts, so u < firsts.len() == parts.len() == telemetry.len()
-                components: telemetry[u].clone(),
+        let mut responses = Vec::with_capacity(reqs.len());
+        for (i, (req, &sub)) in reqs.iter().zip(submitted).enumerate() {
+            // lint: allow(panic-freedom) reason=unique_of has one entry per request of reqs
+            let u = collapsed.as_ref().map_or(i, |c| c.unique_of[i]);
+            // lint: allow(panic-freedom) reason=u < unique_reqs.len() == parts.len() == telemetry.len()
+            let (rows, unique_parts) = (&mut telemetry[u], &parts[u]);
+            responses.push(ServiceResponse {
+                response: composer.compose(req, unique_parts),
+                policy_applied,
+                // A collapsed unique may serve several requests; otherwise
+                // each row set is used exactly once and moves out.
+                components: if collapsed.is_some() {
+                    rows.clone()
+                } else {
+                    std::mem::take(rows)
+                },
                 // An empty clone never allocates: failure-free batches
                 // pay nothing for the failure channel.
                 components_failed: components_failed.clone(),
                 elapsed: clock::elapsed_since(sub),
-            })
-            .collect();
-        for unique_parts in parts {
-            for part in unique_parts {
-                self.pool.put(part);
-            }
+            });
+        }
+        for part in parts.into_iter().flatten() {
+            self.pool.put(part);
         }
         responses
     }
@@ -1380,22 +1361,5 @@ mod tests {
         assert_eq!(r.response, 90);
         assert!(r.elapsed >= Duration::from_millis(5));
         assert_eq!(slow.injected_stalls(), 1);
-    }
-
-    #[test]
-    fn broadcast_full_budget_covers_everything() {
-        let svc = quick_service(100, 2);
-        let total: usize = svc
-            .broadcast(&(), &ExecutionPolicy::budgeted(usize::MAX), Instant::now())
-            .into_iter()
-            .map(|o| o.output)
-            .sum();
-        assert_eq!(total, 100);
-        let exact: usize = svc
-            .broadcast(&(), &ExecutionPolicy::Exact, Instant::now())
-            .into_iter()
-            .map(|o| o.output)
-            .sum();
-        assert_eq!(exact, 100);
     }
 }

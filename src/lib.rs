@@ -17,13 +17,15 @@
 //! [`ExecutionPolicy`](crate::core::ExecutionPolicy) (`Exact`,
 //! `SynopsisOnly`, `Budgeted`, `Deadline`) says how much work one request
 //! may spend, and [`FanOutService::serve`](crate::core::FanOutService::serve)
-//! runs the whole lifecycle — rayon fan-out over components, composition
+//! runs the whole lifecycle — a fan-out whose component legs run in order
+//! on the serving thread (cores come from the
+//! [`ShardedServer`](crate::server::ShardedServer) workers), composition
 //! through the service's [`ComposableService`](crate::core::ComposableService)
 //! hook, and aggregated telemetry (per-component coverage, skipped stale
 //! sets, wall-clock elapsed) in the returned
 //! [`ServiceResponse`](crate::core::ServiceResponse). Request *streams*
 //! ride [`FanOutService::serve_batch`](crate::core::FanOutService::serve_batch):
-//! one fan-out and one synopsis pass per component cover the whole batch
+//! one synopsis pass per component covers the whole batch
 //! (duplicate requests collapsed under clock-free policies, outputs
 //! recycled through an [`OutputPool`](crate::core::OutputPool)), provably
 //! equivalent to serving the requests one at a time. The async front end

@@ -14,11 +14,14 @@
 //!    only allocations left are the O(batch) response envelopes;
 //! 3. across repeated warm `serve_batch_64` calls the allocator's net
 //!    outstanding bytes do not move: the steady state neither leaks nor
-//!    grows buffers.
+//!    grows buffers;
+//! 4. a warm `serve` makes the same number of allocations on a
+//!    one-component and a six-component deployment — the fan-out adds
+//!    none per component — and no more than 11.
 //!
 //! The file holds exactly ONE `#[test]` so no sibling test thread can
-//! touch the global counters mid-measurement. The deployment uses one
-//! component so the vendored rayon shim runs inline (no worker spawns).
+//! touch the global counters mid-measurement. The deployment has six
+//! components, whose legs run in order on the serving thread.
 
 // The counting allocator is the one sanctioned use of `unsafe` in the
 // workspace; the root package downgrades forbid->deny to let this
@@ -30,7 +33,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use at_bench::deployments::{build_recommender, DeployScale};
+use at_bench::deployments::{build_recommender, DeployScale, RecDeployment};
 use at_core::ExecutionPolicy;
 use at_recommender::ActiveUser;
 
@@ -71,14 +74,14 @@ fn outstanding() -> isize {
 
 #[test]
 fn warm_hot_path_is_allocation_free() {
-    // One component => the rayon shim fans out inline on this thread.
-    let dep = build_recommender(DeployScale {
-        n_components: 1,
+    let scale = DeployScale {
+        n_components: 6,
         rows_per_component: 150,
         n_columns: 120,
         n_requests: 80,
         seed: 7,
-    });
+    };
+    let dep = build_recommender(scale);
     let service = &dep.service;
     let batch: Vec<ActiveUser> = dep
         .requests
@@ -151,5 +154,26 @@ fn warm_hot_path_is_allocation_free() {
         0,
         "repeated warm serve_batch_64 shifted net outstanding bytes — \
          a leak or unbounded buffer growth in the steady state"
+    );
+
+    // --- 4. Warm serve: no allocation per component. -------------------
+    let single = build_recommender(DeployScale {
+        n_components: 1,
+        ..scale
+    });
+    let warm_serve_allocs = |dep: &RecDeployment| {
+        let req = &dep.requests[0].active;
+        for _ in 0..8 {
+            black_box(dep.service.serve(req, &policy));
+        }
+        let a = allocs();
+        black_box(dep.service.serve(req, &policy));
+        allocs() - a
+    };
+    let (one, six) = (warm_serve_allocs(&single), warm_serve_allocs(&dep));
+    assert!(
+        one == six && six <= 11,
+        "warm serve allocated {one} times on one component and {six} on six — \
+         the fan-out must add no allocation per component, and at most 11 in all"
     );
 }

@@ -15,8 +15,8 @@
 //!   actually observes the deadline checks).
 //!
 //! ONE `#[test]` in this file: the counter is global, so no sibling test
-//! thread may tick it mid-measurement. One component keeps the rayon
-//! shim inline and the counts exact.
+//! thread may tick it mid-measurement. The deployment has six components,
+//! whose legs run in order on the serving thread.
 
 use std::time::{Duration, Instant};
 
@@ -27,7 +27,7 @@ use at_recommender::ActiveUser;
 #[test]
 fn clock_free_policies_never_read_the_clock() {
     let dep = build_recommender(DeployScale {
-        n_components: 1,
+        n_components: 6,
         rows_per_component: 150,
         n_columns: 120,
         n_requests: 80,
@@ -54,7 +54,7 @@ fn clock_free_policies_never_read_the_clock() {
         },
     ] {
         let r = clock::reads();
-        let outs = comp.execute_batch(&batch, &policy, &submitted);
+        let outs = comp.execute_batch(&batch, &policy, &submitted, service.pool());
         assert_eq!(outs.len(), batch.len());
         assert_eq!(
             clock::reads() - r,
