@@ -9,21 +9,20 @@ use at_bench::baseline::{execute_eager, pearson_inputs, synthetic_correlations, 
 use at_bench::deployments::{build_recommender, DeployScale};
 use at_core::{rank, rank_top, ExecutionPolicy};
 use at_linalg::{
-    pearson_on_common, pearson_on_common_alloc, pearson_on_common_blocked, BlockedRow,
+    pearson_on_common, pearson_on_common_alloc, pearson_on_view, RequestView, RowWords,
 };
 use std::time::Instant;
 
 fn bench_pearson(c: &mut Criterion) {
     let mut g = c.benchmark_group("pearson");
     let (ca, va, cb, vb) = pearson_inputs(200);
-    let ba = BlockedRow::from_sorted(&ca, &va);
-    let bb = BlockedRow::from_sorted(&cb, &vb);
+    let width = ca.iter().chain(&cb).max().map_or(0, |&c| c as usize + 1);
+    let view = RequestView::build(width, &ca, &va, &[]);
+    let words = RowWords::from_sorted(&cb);
     g.bench_function("streaming", |b| {
         b.iter(|| pearson_on_common(&ca, &va, &cb, &vb))
     });
-    g.bench_function("blocked", |b| {
-        b.iter(|| pearson_on_common_blocked(&ba, &bb))
-    });
+    g.bench_function("words", |b| b.iter(|| pearson_on_view(&view, &words, &vb)));
     g.bench_function("allocating_baseline", |b| {
         b.iter(|| pearson_on_common_alloc(&ca, &va, &cb, &vb))
     });

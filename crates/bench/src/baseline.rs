@@ -30,9 +30,16 @@ use at_synopsis::SparseRow;
 /// CF weight computation. Shared by the criterion bench and the `hotpath`
 /// binary so the recorded trajectory and the interactive bench always
 /// measure the same workload.
+///
+/// Both column lists are strictly ascending, the contract of every sparse
+/// kernel: `cols_a` takes two of every three columns, and `cols_b` is
+/// `cols_a` with two of every six entries moved one column up (an odd
+/// entry sits two below the next one, so the move never collides).
 pub fn pearson_inputs(nnz: usize) -> (Vec<u32>, Vec<f64>, Vec<u32>, Vec<f64>) {
     let cols_a: Vec<u32> = (0..nnz as u32).map(|i| i * 3 / 2).collect();
-    let cols_b: Vec<u32> = (0..nnz as u32).map(|i| i * 3 / 2 + (i % 3) / 2).collect();
+    let cols_b: Vec<u32> = (0..nnz as u32)
+        .map(|i| i * 3 / 2 + u32::from(i % 6 == 1 || i % 6 == 3))
+        .collect();
     let vals_a: Vec<f64> = (0..nnz).map(|i| 1.0 + (i % 5) as f64).collect();
     let vals_b: Vec<f64> = (0..nnz).map(|i| 5.0 - (i % 4) as f64).collect();
     (cols_a, vals_a, cols_b, vals_b)
@@ -207,6 +214,25 @@ mod tests {
     use at_core::{ComposableService, ExecutionPolicy};
     use at_recommender::CfService;
 
+    /// Every sparse kernel assumes strictly ascending columns; on input
+    /// that breaks it the kernels disagree, so the bench input must keep it.
+    #[test]
+    fn pearson_inputs_are_strictly_ascending_and_kernels_agree() {
+        for nnz in [16usize, 128, 200, 1024] {
+            let (ca, va, cb, vb) = pearson_inputs(nnz);
+            assert_eq!((ca.len(), cb.len()), (nnz, nnz));
+            assert!(ca.windows(2).all(|w| w[0] < w[1]), "cols_a at nnz {nnz}");
+            assert!(cb.windows(2).all(|w| w[0] < w[1]), "cols_b at nnz {nnz}");
+            let width = (ca[nnz - 1].max(cb[nnz - 1]) + 1) as usize;
+            let view = at_linalg::RequestView::build(width, &ca, &va, &[]);
+            let words = at_linalg::RowWords::from_sorted(&cb);
+            let (ws, ns) = at_linalg::pearson_on_common(&ca, &va, &cb, &vb);
+            let (wv, nv) = at_linalg::pearson_on_view(&view, &words, &vb);
+            assert_eq!(ns, nv, "common count at nnz {nnz}");
+            assert_eq!(ws.to_bits(), wv.to_bits(), "weight at nnz {nnz}");
+        }
+    }
+
     /// The baseline must be *faithful*: same predictions as the current
     /// path under the same budget, or the benchmark compares apples to
     /// oranges.
@@ -225,7 +251,11 @@ mod tests {
                 .service
                 .components()
                 .iter()
-                .map(|c| execute_eager(c, &AllocCfService, &req.active, 5).output)
+                .map(|c| {
+                    execute_eager(c, &AllocCfService, &req.active, 5)
+                        .output
+                        .into()
+                })
                 .collect();
             let pc = CfService.compose(&req.active, &current);
             let pb = CfService.compose(&req.active, &baseline);

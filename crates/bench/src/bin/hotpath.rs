@@ -4,18 +4,22 @@
 //! hotpath [--quick] [--out PATH]
 //! ```
 //!
-//! Records the serving-path perf trajectory of the zero-allocation pass as
-//! three before/after pairs (nanoseconds per operation, smaller is
-//! better):
+//! Records the serving-path perf trajectory as before/after pairs
+//! (nanoseconds per operation, smaller is better):
 //!
 //! * `pearson` — allocating two-pass [`at_linalg::pearson_on_common_alloc`]
 //!   vs the streaming single-pass [`at_linalg::pearson_on_common`].
-//! * `pearson_blocked` — the same allocating baseline vs the blocked-layout
-//!   kernel [`at_linalg::pearson_on_common_blocked`] over prebuilt bucketed
-//!   rows (what the serving path now runs).
-//! * `pearson_blocked_nnz{16,128,1024}` — blocked kernel vs the scalar
-//!   streaming merge across row densities, locating the crossover where
-//!   block-aligned intersection beats the two-pointer scan.
+//! * `pearson_blocked` — the same allocating baseline vs the serving
+//!   kernel [`at_linalg::pearson_on_view`]: a prebuilt request view walked
+//!   against the row's 64-column occupancy words. (The `pearson_blocked*`
+//!   names predate the word layout; CI gates the rows by name.)
+//! * `pearson_blocked_nnz{16,128,1024}`, `pearson_blocked_dense1024` — the
+//!   word kernel vs the scalar streaming merge across synthetic row
+//!   densities.
+//! * `pearson_profile_member`, `pearson_profile_aggregate` — the word
+//!   kernel vs the scalar merge on the row pairs a CF leg really weighs,
+//!   on the deployment shape (240 items, ~80 ratings per user): held-out
+//!   profiles against member rows and against 12-member aggregates.
 //! * `rank` — eager full `O(m log m)` [`at_core::rank`] vs budget-bounded
 //!   lazy [`at_core::rank_top`].
 //! * `budgeted_replay` — a `Budgeted{sets: 5}` replay of the recommender
@@ -38,9 +42,10 @@ use std::time::Instant;
 
 use at_bench::baseline::{pearson_inputs, replay_baseline, replay_current, synthetic_correlations};
 use at_bench::deployments::{build_recommender, DeployScale};
+use at_bench::deployments::{kernel_rows, KERNEL_COLUMNS};
 use at_core::{rank, rank_top};
 use at_linalg::{
-    pearson_on_common, pearson_on_common_alloc, pearson_on_common_blocked, BlockedRow,
+    pearson_on_common, pearson_on_common_alloc, pearson_on_view, RequestView, RowWords,
 };
 
 struct Pair {
@@ -49,23 +54,41 @@ struct Pair {
     after_ns: f64,
 }
 
-/// Best-trial ns/iteration of `f`: `iters` runs split into 7 trials (after
-/// one warmup run), keeping the fastest trial's mean. The minimum is robust
-/// to scheduler preemption and frequency dips, which only ever slow a trial
-/// down — the shared-runner noise that a single long mean folds in.
-fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    f();
+/// Best-trial ns/iteration of a before/after pair: `iters` runs of each
+/// split into 7 trials (after one warmup run of each), keeping each side's
+/// fastest trial mean. The minimum is robust to scheduler preemption and
+/// frequency dips, which only ever slow a trial down — the shared-runner
+/// noise that a single long mean folds in — and the two sides' trials
+/// alternate, so a slow spell of the host lands on both sides of the
+/// ratio instead of on every trial of one.
+fn time_pair_ns(iters: usize, mut before: impl FnMut(), mut after: impl FnMut()) -> (f64, f64) {
+    before();
+    after();
     let trials = 7;
     let per_trial = (iters / trials).max(1);
-    let mut best = f64::INFINITY;
-    for _ in 0..trials {
+    let trial = |f: &mut dyn FnMut()| {
         let t = Instant::now();
         for _ in 0..per_trial {
             f();
         }
-        best = best.min(t.elapsed().as_secs_f64() * 1e9 / per_trial as f64);
+        t.elapsed().as_secs_f64() * 1e9 / per_trial as f64
+    };
+    let (mut best_before, mut best_after) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..trials {
+        best_before = best_before.min(trial(&mut before));
+        best_after = best_after.min(trial(&mut after));
     }
-    best
+    (best_before, best_after)
+}
+
+/// The request view of profile `(ca, va)` and the word index of `cb`,
+/// with the view covering every column either side stores.
+fn view_and_words(ca: &[u32], va: &[f64], cb: &[u32]) -> (RequestView, RowWords) {
+    let width = ca.iter().chain(cb).max().map_or(0, |&c| c as usize + 1);
+    (
+        RequestView::build(width, ca, va, &[]),
+        RowWords::from_sorted(cb),
+    )
 }
 
 fn main() {
@@ -83,40 +106,43 @@ fn main() {
 
     // 1. Streaming vs allocating Pearson (one CF weight, 200-nnz rows).
     let (ca, va, cb, vb) = pearson_inputs(200);
-    let before = time_ns(micro_iters, || {
-        std::hint::black_box(pearson_on_common_alloc(&ca, &va, &cb, &vb));
-    });
-    let after = time_ns(micro_iters, || {
-        std::hint::black_box(pearson_on_common(&ca, &va, &cb, &vb));
-    });
+    let (before, after) = time_pair_ns(
+        micro_iters,
+        || {
+            std::hint::black_box(pearson_on_common_alloc(&ca, &va, &cb, &vb));
+        },
+        || {
+            std::hint::black_box(pearson_on_common(&ca, &va, &cb, &vb));
+        },
+    );
     pairs.push(Pair {
         name: "pearson",
         before_ns: before,
         after_ns: after,
     });
 
-    // 1b. Blocked-layout Pearson against the same allocating baseline: the
-    // bucketed rows are built once (as RowStore/Synopsis hold them cached)
-    // and the kernel merges 8-wide occupancy blocks instead of single
-    // columns.
-    let ba = BlockedRow::from_sorted(&ca, &va);
-    let bb = BlockedRow::from_sorted(&cb, &vb);
-    let before = time_ns(micro_iters, || {
-        std::hint::black_box(pearson_on_common_alloc(&ca, &va, &cb, &vb));
-    });
-    let after = time_ns(micro_iters, || {
-        std::hint::black_box(pearson_on_common_blocked(&ba, &bb));
-    });
+    // 1b. The word kernel against the same allocating baseline: the row's
+    // word index is built once (as RowStore/Synopsis hold it) and the view
+    // once (as a component leg builds it per request).
+    let (view, words) = view_and_words(&ca, &va, &cb);
+    let (before, after) = time_pair_ns(
+        micro_iters,
+        || {
+            std::hint::black_box(pearson_on_common_alloc(&ca, &va, &cb, &vb));
+        },
+        || {
+            std::hint::black_box(pearson_on_view(&view, &words, &vb));
+        },
+    );
     pairs.push(Pair {
         name: "pearson_blocked",
         before_ns: before,
         after_ns: after,
     });
 
-    // 1c. nnz sweep, blocked vs scalar streaming merge: shows where the
-    // block-aligned intersection wins (dense-ish rows, long runs of full
-    // 8-wide blocks) and where the scalar two-pointer merge still holds
-    // its own (short sparse rows where per-block setup dominates).
+    // 1c. nnz sweep, word kernel vs scalar streaming merge on synthetic
+    // rows: short and long sparse rows, and a dense row whose words are
+    // all full.
     for &(nnz, dense, name) in &[
         (16usize, false, "pearson_blocked_nnz16"),
         (128, false, "pearson_blocked_nnz128"),
@@ -124,8 +150,8 @@ fn main() {
         (1024, true, "pearson_blocked_dense1024"),
     ] {
         let (ca, va, cb, vb) = if dense {
-            // Contiguous columns: every block is fully occupied, so the
-            // merge runs the unrolled full-mask path end to end.
+            // Contiguous columns: every word is full, so the kernel ranks
+            // by bit position end to end.
             let cols: Vec<u32> = (0..nnz as u32).collect();
             let va: Vec<f64> = (0..nnz).map(|i| 1.0 + (i % 5) as f64).collect();
             let vb: Vec<f64> = (0..nnz).map(|i| 5.0 - (i % 4) as f64).collect();
@@ -133,14 +159,16 @@ fn main() {
         } else {
             pearson_inputs(nnz)
         };
-        let ba = BlockedRow::from_sorted(&ca, &va);
-        let bb = BlockedRow::from_sorted(&cb, &vb);
-        let before = time_ns(micro_iters, || {
-            std::hint::black_box(pearson_on_common(&ca, &va, &cb, &vb));
-        });
-        let after = time_ns(micro_iters, || {
-            std::hint::black_box(pearson_on_common_blocked(&ba, &bb));
-        });
+        let (view, words) = view_and_words(&ca, &va, &cb);
+        let (before, after) = time_pair_ns(
+            micro_iters,
+            || {
+                std::hint::black_box(pearson_on_common(&ca, &va, &cb, &vb));
+            },
+            || {
+                std::hint::black_box(pearson_on_view(&view, &words, &vb));
+            },
+        );
         pairs.push(Pair {
             name,
             before_ns: before,
@@ -148,18 +176,74 @@ fn main() {
         });
     }
 
+    // 1d. Real-shape kernel rows: every profile against every member row
+    // and every aggregate, scalar merge vs the word kernel, ns per pair.
+    // Every pair is first checked bit-identical.
+    let rows = kernel_rows(32, 64);
+    let views: Vec<RequestView> = rows
+        .profiles
+        .iter()
+        .map(|p| RequestView::build(KERNEL_COLUMNS, &p.cols, &p.vals, &[]))
+        .collect();
+    let sweeps = if quick { 140 } else { 1400 };
+    for (name, others) in [
+        ("pearson_profile_member", &rows.members),
+        ("pearson_profile_aggregate", &rows.aggregates),
+    ] {
+        let words: Vec<RowWords> = others
+            .iter()
+            .map(|r| RowWords::from_sorted(&r.cols))
+            .collect();
+        for (p, view) in rows.profiles.iter().zip(&views) {
+            for (r, w) in others.iter().zip(&words) {
+                let (ws, ns) = pearson_on_common(&p.cols, &p.vals, &r.cols, &r.vals);
+                let (wv, nv) = pearson_on_view(view, w, &r.vals);
+                assert!(
+                    ns == nv && ws.to_bits() == wv.to_bits(),
+                    "{name}: word kernel disagrees with the scalar merge"
+                );
+            }
+        }
+        let n_pairs = (rows.profiles.len() * others.len()) as f64;
+        let (before, after) = time_pair_ns(
+            sweeps,
+            || {
+                for p in &rows.profiles {
+                    for r in others.iter() {
+                        std::hint::black_box(pearson_on_common(&p.cols, &p.vals, &r.cols, &r.vals));
+                    }
+                }
+            },
+            || {
+                for view in &views {
+                    for (r, w) in others.iter().zip(&words) {
+                        std::hint::black_box(pearson_on_view(view, w, &r.vals));
+                    }
+                }
+            },
+        );
+        pairs.push(Pair {
+            name,
+            before_ns: before / n_pairs,
+            after_ns: after / n_pairs,
+        });
+    }
+
     // 2. Lazy vs eager ranking (m = 1024 sets, budget 5 — the shape of a
     // Budgeted{5} request against a large synopsis). Clone cost is paid
     // identically on both sides.
     let corr = synthetic_correlations(1024);
-    let before = time_ns(micro_iters, || {
-        std::hint::black_box(rank(corr.clone()));
-    });
-    let after = time_ns(micro_iters, || {
-        let mut c = corr.clone();
-        let mut prefix = rank_top(&mut c, 5);
-        std::hint::black_box(prefix.get(4));
-    });
+    let (before, after) = time_pair_ns(
+        micro_iters,
+        || {
+            std::hint::black_box(rank(corr.clone()));
+        },
+        || {
+            let mut c = corr.clone();
+            let mut prefix = rank_top(&mut c, 5);
+            std::hint::black_box(prefix.get(4));
+        },
+    );
     pairs.push(Pair {
         name: "rank",
         before_ns: before,
@@ -172,7 +256,7 @@ fn main() {
     let deployment = build_recommender(DeployScale::quick());
     let n_execs = deployment.requests.len() * deployment.service.len();
     // Warmup both paths once, then alternate rounds and keep each path's
-    // fastest round (same noise rationale as `time_ns`).
+    // fastest round (same noise rationale as `time_pair_ns`).
     replay_current(&deployment, 5);
     replay_baseline(&deployment, 5);
     let mut before_ns = f64::INFINITY;

@@ -135,6 +135,63 @@ pub fn build_recommender(scale: DeployScale) -> RecDeployment {
     RecDeployment { service, requests }
 }
 
+/// Items of the CF deployment shape (`DeployScale::full().n_columns`, the
+/// benchmark deployment's column count).
+pub const KERNEL_COLUMNS: usize = 240;
+
+/// Members per aggregated user: the deployments' synopsis size ratio.
+const KERNEL_GROUP: usize = 12;
+
+/// The row pairs a CF component leg weighs, on the deployment shape
+/// (240 items, ~80 ratings per user, one fixed seed): held-out users'
+/// training profiles, deployed member rows, and mean aggregates of
+/// 12 consecutive deployed rows.
+pub struct KernelRows {
+    /// Active-user profiles (80% training split of held-out users).
+    pub profiles: Vec<SparseRow>,
+    /// Deployed user rows.
+    pub members: Vec<SparseRow>,
+    /// Aggregated users, one per group of 12 deployed rows.
+    pub aggregates: Vec<SparseRow>,
+}
+
+/// Generate [`KernelRows`] with `n_profiles` profiles, `n_rows` members
+/// and `n_rows` aggregates.
+pub fn kernel_rows(n_profiles: usize, n_rows: usize) -> KernelRows {
+    let n_deployed = n_rows * KERNEL_GROUP;
+    let data = RatingsDataset::generate(RatingsConfig {
+        n_users: n_deployed + n_profiles,
+        n_items: KERNEL_COLUMNS,
+        ratings_per_user: KERNEL_COLUMNS / 3,
+        noise: 0.3,
+        seed: 7,
+        ..RatingsConfig::default()
+    });
+    let (train, _) = data.holdout_split(0.8, 7 ^ 0x51);
+    let deployed: Vec<_> = data
+        .ratings
+        .iter()
+        .copied()
+        .filter(|r| (r.user as usize) < n_deployed)
+        .collect();
+    let store = rating_matrix(n_deployed, KERNEL_COLUMNS, &deployed);
+    let mut profiles = vec![Vec::new(); n_profiles];
+    for r in train.iter().filter(|r| r.user as usize >= n_deployed) {
+        profiles[r.user as usize - n_deployed].push((r.item, r.stars));
+    }
+    KernelRows {
+        profiles: profiles.into_iter().map(SparseRow::from_pairs).collect(),
+        members: (0..n_rows as u64).map(|id| store.row(id).clone()).collect(),
+        aggregates: (0..n_rows as u64)
+            .map(|g| {
+                let ids: Vec<u64> =
+                    (g * KERNEL_GROUP as u64..(g + 1) * KERNEL_GROUP as u64).collect();
+                store.aggregate(&ids, AggregationMode::Mean)
+            })
+            .collect(),
+    }
+}
+
 /// The search deployment plus its evaluation workload.
 pub struct SearchDeployment {
     /// The fan-out service (one inverted index + synopsis per component).
@@ -197,6 +254,24 @@ mod tests {
             assert_eq!(r.active.targets.len(), r.actual.len());
             assert!(r.actual.iter().all(|s| (1.0..=5.0).contains(s)));
         }
+    }
+
+    #[test]
+    fn kernel_rows_have_the_deployment_shape() {
+        let rows = kernel_rows(8, 16);
+        assert_eq!((rows.profiles.len(), rows.members.len()), (8, 16));
+        assert_eq!(rows.aggregates.len(), 16);
+        let mean_nnz =
+            |rows: &[SparseRow]| rows.iter().map(SparseRow::nnz).sum::<usize>() / rows.len();
+        assert_eq!(mean_nnz(&rows.members), 80);
+        assert!((55..=70).contains(&mean_nnz(&rows.profiles)));
+        // A 12-member mean covers nearly every item.
+        assert!(mean_nnz(&rows.aggregates) > 200);
+        assert!(rows
+            .members
+            .iter()
+            .chain(&rows.aggregates)
+            .all(|r| r.cols.iter().all(|&c| (c as usize) < KERNEL_COLUMNS)));
     }
 
     #[test]

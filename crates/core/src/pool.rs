@@ -189,7 +189,7 @@ pub fn prepare_outputs<T>(
 /// pass, once per batch.
 ///
 /// The batch pass streams every synopsis point past every request. Untiled,
-/// a wide batch cycles through more per-request state (profile lanes,
+/// a wide batch cycles through more per-request state (request views,
 /// accumulators, correlation tails) than L1 holds, so each point
 /// eviction-misses its way down the request column — tiling caps how much
 /// request state is live at once, trading one extra synopsis stream per
@@ -202,7 +202,7 @@ pub fn batch_tile_span(n_reqs: usize, row_nnz: usize) -> usize {
     // Budget roughly half a 32 KiB L1d for request-side state, leaving the
     // other half to the streaming point row and the accumulator writes.
     const L1_BUDGET_BYTES: usize = 16 * 1024;
-    // Per request per point-entry touched: value lane + mask/id overhead on
+    // Per request per point-entry touched: view value + word overhead on
     // the profile side plus an accumulator slot — ~24 bytes amortised.
     const BYTES_PER_ENTRY: usize = 24;
     let per_req = row_nnz.max(1).saturating_mul(BYTES_PER_ENTRY);

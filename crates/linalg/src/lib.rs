@@ -15,22 +15,29 @@
 //!   tail-latency metric), RMSE, and Pearson's correlation coefficient (the
 //!   CF weight measure used for accuracy-correlation estimation).
 //!
+//! The serving path adds one more: [`words`], the occupancy-word row index
+//! ([`RowWords`]) and direct-indexed request view ([`RequestView`]) that
+//! the CF row kernels [`pearson_on_view`] and [`for_each_target_slot`]
+//! walk, bit-identical to the scalar merges in [`mod@pearson`].
+//!
 //! Everything is deterministic given a caller-supplied RNG and allocates
 //! predictably; hot loops are written over contiguous slices so the compiler
 //! can vectorise them.
 
-pub mod blocked;
 pub mod matrix;
 pub mod pearson;
 pub mod sparse;
 pub mod stats;
 pub mod svd;
 pub mod vector;
+pub mod words;
 
-pub use blocked::{for_each_common_slot, pearson_on_common_blocked, BlockedRow, BlockedSet, LANES};
 pub use matrix::Matrix;
 pub use pearson::{pearson, pearson_on_common, pearson_on_common_alloc, WelfordPair};
 pub use sparse::{SparseMatrix, SparseMatrixBuilder};
 pub use stats::{mean, percentile, rmse, stddev, variance, Percentiles, RowStats, StreamingStats};
 pub use svd::{IncrementalSvd, SvdConfig, SvdModel};
 pub use vector::{add_assign, dot, euclidean, norm2, scale, sub};
+pub use words::{
+    for_each_target_slot, pearson_on_view, OccupancyWord, RequestView, RowWords, WORD_BITS,
+};

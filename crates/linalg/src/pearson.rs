@@ -22,13 +22,13 @@
 /// a time in the numerically stable post-update-delta form.
 ///
 /// Every Pearson kernel in this crate — dense [`pearson`], streaming
-/// [`pearson_on_common`], and the blocked/lane-chunked variants in
-/// [`crate::blocked`] — funnels matched pairs through [`push`](Self::push)
-/// in ascending column order and ends with [`finish`](Self::finish). One
-/// recurrence, one op order: kernels that visit the same pairs in the same
-/// order are bit-identical by construction, which is what lets the blocked
-/// layout swap in under the differential oracle without moving a single
-/// result bit.
+/// [`pearson_on_common`], and the occupancy-word kernel
+/// [`crate::pearson_on_view`] — funnels matched pairs through
+/// [`push`](Self::push) in ascending column order and ends with
+/// [`finish`](Self::finish). One recurrence, one op order: kernels that
+/// visit the same pairs in the same order are bit-identical by
+/// construction, which is what lets the word layout swap in under the
+/// differential oracle without moving a single result bit.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WelfordPair {
     n: usize,
@@ -49,7 +49,10 @@ impl WelfordPair {
     #[inline(always)]
     pub fn push(&mut self, x: f64, y: f64) {
         self.n += 1;
-        let inv = 1.0 / self.n as f64;
+        // Through i64: x86-64 converts a signed integer to f64 in one
+        // instruction but an unsigned one in several, and the value is the
+        // same (exact) for any count below 2^53.
+        let inv = 1.0 / (self.n as i64 as f64);
         let dx = x - self.mean_x;
         let dy = y - self.mean_y;
         self.mean_x += dx * inv;
@@ -88,7 +91,7 @@ impl WelfordPair {
 /// (what [`pearson_on_common_alloc`] does) yields **bit-identical** results
 /// to streaming the intersection directly — which is what makes the
 /// allocating formulation a byte-exact differential oracle for every
-/// streaming/blocked kernel variant. A constant side still gives exactly
+/// streaming/word kernel variant. A constant side still gives exactly
 /// `0.0`: Welford's `m2` is exactly zero for constant input.
 ///
 /// # Panics
@@ -144,8 +147,8 @@ pub fn pearson_on_common(
 /// materialises the intersection into two vectors, then runs the dense
 /// [`pearson`] over them.
 ///
-/// Kept **only** as the differential-test oracle (the streaming, blocked
-/// and lane-chunked merges must agree with it **bit-for-bit** on random
+/// Kept **only** as the differential-test oracle (the streaming and
+/// occupancy-word kernels must agree with it **bit-for-bit** on random
 /// sparse rows — gather + fold and stream + fold share the
 /// [`WelfordPair`] recurrence, so the op sequences coincide) and as the
 /// "before" baseline of the hot-path benchmarks. Not for serving-path use.
@@ -288,7 +291,7 @@ mod tests {
         // Since the dense `pearson` became the same single-pass Welford
         // fold as the streaming merge, gather-then-fold and stream-fold run
         // the identical op sequence: the oracle is byte-exact, which is the
-        // property the blocked/lane kernel proptests lean on.
+        // property the occupancy-word kernel proptests lean on.
         let cols_a = [0u32, 2, 3, 5, 8, 9, 11, 13];
         let vals_a = [1.0, 4.5, 2.0, 5.0, 3.0, 0.5, 2.25, 1.75];
         let cols_b = [1u32, 2, 3, 4, 5, 9, 11, 13];

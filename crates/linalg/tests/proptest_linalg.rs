@@ -2,8 +2,8 @@
 
 use at_linalg::stats::{mean, percentile, variance, Percentiles, StreamingStats};
 use at_linalg::{
-    for_each_common_slot, pearson, pearson_on_common, pearson_on_common_alloc,
-    pearson_on_common_blocked, BlockedRow, BlockedSet,
+    for_each_target_slot, pearson, pearson_on_common, pearson_on_common_alloc, pearson_on_view,
+    RequestView, RowWords,
 };
 use proptest::prelude::*;
 
@@ -20,6 +20,38 @@ fn sparse_row(mask: &[bool], vals: &[f64]) -> (Vec<u32>, Vec<f64>) {
     }
     (cols, out)
 }
+
+/// The occupancy-word weight kernel over `(ca, va)` as the request profile
+/// and `(cb, vb)` as the indexed row, with the view covering every column
+/// either side stores.
+fn view_pearson(ca: &[u32], va: &[f64], cb: &[u32], vb: &[f64]) -> (f64, usize) {
+    let width = ca.iter().chain(cb).max().map_or(0, |&m| m as usize + 1);
+    let view = RequestView::build(width, ca, va, &[]);
+    pearson_on_view(&view, &RowWords::from_sorted(cb), vb)
+}
+
+/// Classic two-pointer merge of a sorted row against a sorted target list:
+/// `(target slot, value bits)` per match, in ascending column order.
+fn two_pointer_slots(cr: &[u32], vr: &[f64], ct: &[u32]) -> Vec<(usize, u64)> {
+    let mut want = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < cr.len() && j < ct.len() {
+        match cr[i].cmp(&ct[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                want.push((j, vr[i].to_bits()));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    want
+}
+
+/// Columns a word kernel handles specially: both sides of the 64- and
+/// 128-column word boundaries.
+const EDGE_COLS: [u32; 8] = [0, 1, 62, 63, 64, 65, 127, 128];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -138,16 +170,16 @@ proptest! {
         prop_assert!((w - pearson(&a, &b)).abs() < 1e-12);
     }
 
-    // ---- blocked / lane-chunked kernel differentials ------------------------
+    // ---- occupancy-word kernel differentials ---------------------------------
     //
-    // Every vectorized variant must be *bit*-identical (`to_bits`) to the
-    // allocating oracle, which the streaming kernel is itself pinned to.
-    // Column gaps of 1..6 walk intersections across 8-wide block boundaries
-    // at every alignment; `zero_var_a` forces constant (zero-variance) rows
-    // and `nan_at` injects a NaN score to pin NaN propagation.
+    // The word kernel must be *bit*-identical (`to_bits`) to the allocating
+    // oracle, which the streaming kernel is itself pinned to. Column gaps
+    // of 1..6 walk intersections across 64-wide word boundaries at every
+    // alignment; `zero_var_a` forces constant (zero-variance) rows and
+    // `nan_at` injects a NaN score to pin NaN propagation.
 
     #[test]
-    fn blocked_and_lane_kernels_bit_match_oracle(
+    fn word_kernel_bit_matches_oracle(
         entries in prop::collection::vec((0u32..2, 0u32..2, 1u32..6, 0.5f64..5.0, 0.5f64..5.0), 0..120),
         zero_var_a in 0u32..2,
         // Indices >= 120 never match an entry, so half the draws inject no NaN.
@@ -171,18 +203,53 @@ proptest! {
                 vb.push(y);
             }
         }
-        let a = BlockedRow::from_sorted(&ca, &va);
-        let b = BlockedRow::from_sorted(&cb, &vb);
         let (w_oracle, n_oracle) = pearson_on_common_alloc(&ca, &va, &cb, &vb);
         let variants = [
             ("streaming", pearson_on_common(&ca, &va, &cb, &vb)),
-            ("blocked", pearson_on_common_blocked(&a, &b)),
+            ("words", view_pearson(&ca, &va, &cb, &vb)),
         ];
         for (name, (w, n)) in variants {
             prop_assert_eq!(n, n_oracle, "{}: common count", name);
             prop_assert_eq!(w.to_bits(), w_oracle.to_bits(),
                             "{}: {} vs oracle {}", name, w, w_oracle);
         }
+    }
+
+    #[test]
+    fn word_kernel_bit_matches_oracle_at_word_edges(
+        // Per column of 0..192: present in a / in b, and both values.
+        entries in prop::collection::vec((0u32..4, 0u32..4, 0.5f64..5.0, 0.5f64..5.0), 192),
+        // 0: random presence; 1: every column present (full words); 2: only
+        // the word-edge columns present.
+        shape_a in 0u32..3,
+        shape_b in 0u32..3,
+        zero_var in 0u32..3,
+        nan_at in 0usize..384,
+    ) {
+        let present = |shape: u32, draw: u32, c: u32| match shape {
+            0 => draw == 0,
+            1 => true,
+            _ => EDGE_COLS.contains(&c),
+        };
+        let (mut ca, mut va) = (Vec::new(), Vec::new());
+        let (mut cb, mut vb) = (Vec::new(), Vec::new());
+        for (c, &(da, db, x, y)) in entries.iter().enumerate() {
+            let c = c as u32;
+            let x = if nan_at == c as usize { f64::NAN } else if zero_var == 1 { 2.5 } else { x };
+            let y = if zero_var == 2 { 4.0 } else { y };
+            if present(shape_a, da, c) {
+                ca.push(c);
+                va.push(x);
+            }
+            if present(shape_b, db, c) {
+                cb.push(c);
+                vb.push(y);
+            }
+        }
+        let (w_oracle, n_oracle) = pearson_on_common_alloc(&ca, &va, &cb, &vb);
+        let (w, n) = view_pearson(&ca, &va, &cb, &vb);
+        prop_assert_eq!(n, n_oracle);
+        prop_assert_eq!(w.to_bits(), w_oracle.to_bits(), "{} vs oracle {}", w, w_oracle);
     }
 
     #[test]
@@ -197,43 +264,47 @@ proptest! {
         let cb: Vec<u32> = cols_b.iter().map(|&g| { col += g; col * 2 + 1 }).collect();
         let va = vec![1.5; ca.len()];
         let vb = vec![2.5; cb.len()];
-        let a = BlockedRow::from_sorted(&ca, &va);
-        let b = BlockedRow::from_sorted(&cb, &vb);
-        let (w, n) = pearson_on_common_blocked(&a, &b);
+        let (w, n) = view_pearson(&ca, &va, &cb, &vb);
         prop_assert_eq!(n, 0);
         prop_assert_eq!(w.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
-    fn blocked_row_round_trips_sorted_pairs(
-        entries in prop::collection::vec((1u32..9, -100.0f64..100.0), 0..100),
+    fn row_words_round_trip_sorted_columns(
+        entries in prop::collection::vec(1u32..9, 0..100),
     ) {
         let mut col = 0u32;
-        let (mut cols, mut vals) = (Vec::new(), Vec::new());
-        for &(gap, v) in &entries {
-            col += gap;
-            cols.push(col);
-            vals.push(v);
-        }
-        let row = BlockedRow::from_sorted(&cols, &vals);
+        let cols: Vec<u32> = entries.iter().map(|&gap| { col += gap; col }).collect();
+        let row = RowWords::from_sorted(&cols);
         prop_assert_eq!(row.nnz(), cols.len());
-        let (rc, rv) = row.to_sorted();
-        prop_assert_eq!(rc, cols);
-        for (got, want) in rv.iter().zip(&vals) {
-            prop_assert_eq!(got.to_bits(), want.to_bits());
+        prop_assert_eq!(row.cols().collect::<Vec<_>>(), cols.clone());
+        // Each word's base is the CSR position of its first column.
+        let mut pos = 0usize;
+        for w in row.words() {
+            prop_assert_eq!(w.base as usize, pos);
+            pos += w.mask.count_ones() as usize;
         }
     }
 
     #[test]
-    fn common_slot_merge_matches_two_pointer_reference(
+    fn target_walk_matches_two_pointer_reference(
         entries in prop::collection::vec((0u32..2, 0u32..2, 1u32..6, -10.0f64..10.0), 0..100),
+        full_row in 0u32..2,
     ) {
         let mut col = 0u32;
         let (mut cr, mut vr) = (Vec::new(), Vec::new());
         let mut ct = Vec::new();
         for &(pr, pt, gap, v) in &entries {
+            // A full row stores every column up to the last, so its words
+            // are full wherever it spans a whole 64-column block.
+            let first = col + 1;
             col += gap;
-            if pr == 1 {
+            if full_row == 1 {
+                for c in first..=col {
+                    cr.push(c);
+                    vr.push(v + c as f64);
+                }
+            } else if pr == 1 {
                 cr.push(col);
                 vr.push(v);
             }
@@ -241,24 +312,53 @@ proptest! {
                 ct.push(col);
             }
         }
-        let row = BlockedRow::from_sorted(&cr, &vr);
-        let set = BlockedSet::from_sorted(&ct);
-        // Reference: classic two-pointer merge over the sorted CSR views.
-        let mut want: Vec<(usize, u64)> = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < cr.len() && j < ct.len() {
-            match cr[i].cmp(&ct[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    want.push((j, vr[i].to_bits()));
-                    i += 1;
-                    j += 1;
+        let want = two_pointer_slots(&cr, &vr, &ct);
+        let view = RequestView::build(col as usize + 1, &[], &[], &ct);
+        let mut got: Vec<(usize, u64)> = Vec::new();
+        for_each_target_slot(&view, &RowWords::from_sorted(&cr), &vr, |slot, v| {
+            got.push((slot, v.to_bits()))
+        });
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn recycled_view_matches_fresh_view(
+        first in prop::collection::vec((0u32..2, 0u32..2, 0.5f64..5.0), 200),
+        second in prop::collection::vec((0u32..2, 0u32..2, 0.5f64..5.0), 200),
+        row in prop::collection::vec((0u32..2, 0.5f64..5.0), 200),
+    ) {
+        let side = |draws: &[(u32, u32, f64)]| {
+            let mut prof = (Vec::new(), Vec::new());
+            let mut targets = Vec::new();
+            for (c, &(p, t, v)) in draws.iter().enumerate() {
+                if p == 1 {
+                    prof.0.push(c as u32);
+                    prof.1.push(v);
+                } else if t == 1 {
+                    targets.push(c as u32);
                 }
             }
-        }
-        let mut got: Vec<(usize, u64)> = Vec::new();
-        for_each_common_slot(&row, &set, |slot, v| got.push((slot, v.to_bits())));
+            (prof, targets)
+        };
+        let ((ca, va), ta) = side(&first);
+        let ((cb, vb), tb) = side(&second);
+        let (cr, vr): (Vec<u32>, Vec<f64>) = row
+            .iter()
+            .enumerate()
+            .filter(|(_, &(p, _))| p == 1)
+            .map(|(c, &(_, v))| (c as u32, v))
+            .unzip();
+        let words = RowWords::from_sorted(&cr);
+        let mut recycled = RequestView::build(200, &ca, &va, &ta);
+        recycled.rebuild(200, &cb, &vb, &tb);
+        let fresh = RequestView::build(200, &cb, &vb, &tb);
+        let (wr, nr) = pearson_on_view(&recycled, &words, &vr);
+        let (wf, nf) = pearson_on_view(&fresh, &words, &vr);
+        prop_assert_eq!(nr, nf);
+        prop_assert_eq!(wr.to_bits(), wf.to_bits());
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for_each_target_slot(&recycled, &words, &vr, |s, v| got.push((s, v.to_bits())));
+        for_each_target_slot(&fresh, &words, &vr, |s, v| want.push((s, v.to_bits())));
         prop_assert_eq!(got, want);
     }
 }

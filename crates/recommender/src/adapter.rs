@@ -12,73 +12,124 @@
 //!   with the exact contributions of its member users.
 
 use at_core::{ApproximateService, ComposableService, Correlation, Ctx};
-use at_linalg::BlockedRow;
+use at_linalg::{RequestView, RowWords};
 use at_rtree::NodeId;
 
-use crate::predict::{
-    accumulate_neighbor_blocked, user_weight, user_weight_blocked, PredictionAcc,
-};
+use crate::predict::{accumulate_neighbor_view, user_weight, user_weight_view, PredictionAcc};
 use crate::ratings::ActiveUser;
+
+/// One component leg's output: the per-target prediction sums, plus the
+/// scratch every stage of that leg reuses.
+///
+/// Stage 1 builds the request's [`RequestView`] here once, and records the
+/// signed weight of every aggregated user; each stage-2 `improve` of the
+/// same leg then reads both instead of rebuilding the view or re-weighing
+/// the aggregated user it backs out. Outputs are pooled like any service
+/// output (`at_core::OutputPool`), so a recycled `CfOutput` keeps the
+/// storage of its view and weight table and a warm leg allocates nothing.
+///
+/// Equality compares the prediction sums only: the view and the weights
+/// are derived from the request and the component's synopsis.
+#[derive(Clone, Debug, Default)]
+pub struct CfOutput {
+    /// One partial sum per target, parallel to `ActiveUser::targets`.
+    pub acc: Vec<PredictionAcc>,
+    /// The request's view over the component's columns.
+    view: RequestView,
+    /// Signed stage-1 weight of each aggregated user, by synopsis position.
+    weights: Vec<f64>,
+}
+
+impl PartialEq for CfOutput {
+    fn eq(&self, other: &Self) -> bool {
+        self.acc == other.acc
+    }
+}
+
+/// Bare prediction sums (no view, no stage-1 weights) — for composing
+/// partial sums that were computed elsewhere.
+impl From<Vec<PredictionAcc>> for CfOutput {
+    fn from(acc: Vec<PredictionAcc>) -> Self {
+        CfOutput {
+            acc,
+            ..CfOutput::default()
+        }
+    }
+}
 
 /// The user-based CF service, AccuracyTrader-enabled.
 ///
 /// The per-request path computes each neighbour's Pearson weight **exactly
 /// once** (it serves both as the correlation estimate and the prediction
-/// weight) and reads neighbour means from the stores' cached
+/// weight, and stage 2 reuses the stage-1 weight of the aggregated user it
+/// backs out) and reads neighbour means from the stores' cached
 /// [`at_linalg::RowStats`] — no per-neighbour allocation or value rescans.
-/// Both kernels run block-aligned ([`user_weight_blocked`] /
-/// [`accumulate_neighbor_blocked`]) over the blocked renderings cached in
-/// the stores and the request — bit-identical to the scalar merges, so the
-/// layout is purely a perf decision.
+/// Both kernels ([`user_weight_view`] / [`accumulate_neighbor_view`]) walk
+/// the stores' occupancy-word indexes against the request view in the
+/// leg's [`CfOutput`] — bit-identical to the scalar merges, so the layout
+/// is purely a perf decision.
 ///
 /// Batch-aware: `process_synopsis_batch` makes **one** pass over the
 /// synopsis shared by every request of a batch (aggregated users outer,
 /// requests inner — bit-identical to the per-request pass), cache-tiled
-/// over the request dimension so a tile's accumulators stay L1-resident
-/// across the whole synopsis stream, and `process_synopsis_into` resets
-/// recycled accumulator buffers in place so pooled serving allocates
-/// nothing for outputs.
+/// over the request dimension so a tile's views and accumulators stay
+/// L1-resident across the whole synopsis stream, and
+/// `process_synopsis_into` resets recycled outputs in place so pooled
+/// serving allocates nothing for outputs.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CfService;
 
-/// Reset a (possibly recycled) accumulator to one zeroed slot per target.
-fn reset_acc(acc: &mut Vec<PredictionAcc>, req: &ActiveUser) {
-    acc.clear();
-    acc.resize(req.targets.len(), PredictionAcc::default());
+/// Reset a (possibly recycled) output for `req` on the component of `ctx`:
+/// one zeroed slot per target, the request's view, no stage-1 weights.
+///
+/// The view covers the columns up to the request's last profile or target
+/// column, capped at the component's feature dimension: no stored row has
+/// a column past either bound that the request could match.
+fn reset_output(out: &mut CfOutput, ctx: Ctx<'_>, req: &ActiveUser) {
+    out.acc.clear();
+    out.acc.resize(req.targets.len(), PredictionAcc::default());
+    let last = req.profile.cols.last().max(req.targets.last());
+    let width = last
+        .map_or(0, |&c| c as usize + 1)
+        .min(ctx.dataset.feature_dim());
+    out.view
+        .rebuild(width, &req.profile.cols, &req.profile.vals, &req.targets);
+    out.weights.clear();
 }
 
-/// Process one aggregated user for one request: push its correlation
-/// estimate and fold its estimated contribution into the accumulator. The
-/// single op sequence shared by the per-request and batched stage-1 passes,
-/// so both produce bit-identical results.
+/// Process one aggregated user for one request: record its weight, push
+/// its correlation estimate and fold its estimated contribution into the
+/// accumulator. The single op sequence shared by the per-request and
+/// batched stage-1 passes, so both produce bit-identical results.
 fn synopsis_step(
-    req: &ActiveUser,
     p: &at_synopsis::AggregatedPoint,
-    pb: &BlockedRow,
+    words: &RowWords,
     stats: at_linalg::RowStats,
     corr: &mut Vec<Correlation>,
-    acc: &mut [PredictionAcc],
+    out: &mut CfOutput,
 ) {
     // One weight per aggregated user: it is both the correlation
     // estimate c_i and the prediction weight.
-    let (w, _) = user_weight_blocked(req.profile_blocked(), pb);
+    let (w, _) = user_weight_view(&out.view, words, &p.info.vals);
+    out.weights.push(w);
     corr.push(Correlation {
         node: p.node,
         score: w.abs(),
     });
-    accumulate_neighbor_blocked(
-        req.targets_blocked(),
-        pb,
+    accumulate_neighbor_view(
+        &out.view,
+        words,
+        &p.info.vals,
         w,
         stats.mean(),
         p.member_count as f64,
-        acc,
+        &mut out.acc,
     );
 }
 
 impl ApproximateService for CfService {
     type Request = ActiveUser;
-    type Output = Vec<PredictionAcc>;
+    type Output = CfOutput;
 
     fn process_synopsis(
         &self,
@@ -86,10 +137,9 @@ impl ApproximateService for CfService {
         req: &ActiveUser,
         corr: &mut Vec<Correlation>,
     ) -> Self::Output {
-        // lint: allow(hot-path-alloc) reason=cold entry point; the warm path is process_synopsis_into on a pooled buffer
-        let mut acc = Vec::new();
-        self.process_synopsis_into(ctx, req, corr, &mut acc);
-        acc
+        let mut out = CfOutput::default();
+        self.process_synopsis_into(ctx, req, corr, &mut out);
+        out
     }
 
     fn process_synopsis_into(
@@ -99,15 +149,16 @@ impl ApproximateService for CfService {
         corr: &mut Vec<Correlation>,
         out: &mut Self::Output,
     ) {
-        reset_acc(out, req);
+        reset_output(out, ctx, req);
         let synopsis = ctx.store.synopsis();
         corr.reserve(synopsis.len());
-        for ((p, stats), pb) in synopsis
+        out.weights.reserve(synopsis.len());
+        for ((p, stats), words) in synopsis
             .points_with_stats()
             .iter()
-            .zip(synopsis.points_blocked())
+            .zip(synopsis.points_words())
         {
-            synopsis_step(req, p, pb, *stats, corr, out);
+            synopsis_step(p, words, *stats, corr, out);
         }
     }
 
@@ -118,22 +169,28 @@ impl ApproximateService for CfService {
         corrs: &mut [Vec<Correlation>],
         outs: &mut Vec<Self::Output>,
     ) {
+        let synopsis = ctx.store.synopsis();
+        let points = synopsis.points_with_stats();
+        let words = synopsis.points_words();
         at_core::prepare_outputs(
             outs,
             reqs.len(),
-            |out, i| reset_acc(out, &reqs[i]),
-            // lint: allow(hot-path-alloc) reason=pool-miss fallback, runs once per buffer ever in flight; warm batches take the reset branch
-            |i| vec![PredictionAcc::default(); reqs[i].targets.len()],
+            |out, i| reset_output(out, ctx, &reqs[i]),
+            // Pool-miss fallback: runs once per buffer ever in flight; warm
+            // batches take the reset branch.
+            |i| {
+                let mut out = CfOutput::default();
+                reset_output(&mut out, ctx, &reqs[i]);
+                out
+            },
         );
-        let synopsis = ctx.store.synopsis();
-        let points = synopsis.points_with_stats();
-        let blocked = synopsis.points_blocked();
-        for corr in corrs.iter_mut() {
+        for (corr, out) in corrs.iter_mut().zip(outs.iter_mut()) {
             corr.reserve(points.len());
+            out.weights.reserve(points.len());
         }
         // Cache-tiled pass: requests are cut into tiles sized once per
         // batch (from the batch width and the mean aggregated-row nnz) so
-        // one tile's accumulators and profiles stay L1-resident while the
+        // one tile's views and accumulators stay L1-resident while the
         // whole synopsis streams past; within a tile the loop is still
         // points-outer/requests-inner, so every request sees every point
         // in node-id order and the per-request op order matches
@@ -143,69 +200,79 @@ impl ApproximateService for CfService {
         let mut start = 0usize;
         while start < reqs.len() {
             let end = (start + tile).min(reqs.len());
-            for ((p, stats), pb) in points.iter().zip(blocked) {
-                for ((req, corr), out) in reqs[start..end]
-                    .iter()
-                    .zip(corrs[start..end].iter_mut())
+            for ((p, stats), pw) in points.iter().zip(words) {
+                for (corr, out) in corrs[start..end]
+                    .iter_mut()
                     .zip(outs[start..end].iter_mut())
                 {
-                    synopsis_step(req, p, pb, *stats, corr, out);
+                    synopsis_step(p, pw, *stats, corr, out);
                 }
             }
             start = end;
         }
     }
 
+    /// Reads the view and stage-1 weights that stage 1 left in `out`, so
+    /// `out` must come from `process_synopsis*` for `req` on this
+    /// component (as the Algorithm 1 drivers guarantee).
     fn improve(
         &self,
         ctx: Ctx<'_>,
-        req: &ActiveUser,
+        _req: &ActiveUser,
         out: &mut Self::Output,
         node: NodeId,
         members: &[u64],
     ) {
-        // Back out the aggregated user's estimated contribution...
-        if let Some((p, stats, pb)) = ctx.store.synopsis().point_full(node) {
-            let (w, _) = user_weight_blocked(req.profile_blocked(), pb);
-            accumulate_neighbor_blocked(
-                req.targets_blocked(),
-                pb,
+        // Back out the aggregated user's estimated contribution, with the
+        // weight stage 1 gave it...
+        if let Some((i, p, stats, words)) = ctx.store.synopsis().point_full(node) {
+            let w = match out.weights.get(i) {
+                Some(&w) => w,
+                None => user_weight_view(&out.view, words, &p.info.vals).0,
+            };
+            accumulate_neighbor_view(
+                &out.view,
+                words,
+                &p.info.vals,
                 w,
                 stats.mean(),
                 -(p.member_count as f64),
-                out,
+                &mut out.acc,
             );
         }
         // ...and put in the exact contributions of its original users.
         for &m in members {
-            let rb = ctx.dataset.row_blocked(m);
-            let (w, _) = user_weight_blocked(req.profile_blocked(), rb);
-            accumulate_neighbor_blocked(
-                req.targets_blocked(),
-                rb,
+            let (words, vals) = (ctx.dataset.row_words(m), &ctx.dataset.row(m).vals);
+            let (w, _) = user_weight_view(&out.view, words, vals);
+            accumulate_neighbor_view(
+                &out.view,
+                words,
+                vals,
                 w,
                 ctx.dataset.row_stats(m).mean(),
                 1.0,
-                out,
+                &mut out.acc,
             );
         }
     }
 
     fn process_exact(&self, ctx: Ctx<'_>, req: &ActiveUser) -> Self::Output {
-        let mut acc = vec![PredictionAcc::default(); req.targets.len()];
+        let mut out = CfOutput::default();
+        reset_output(&mut out, ctx, req);
         for id in ctx.dataset.ids() {
-            let rb = ctx.dataset.row_blocked(id);
-            let (w, _) = user_weight_blocked(req.profile_blocked(), rb);
-            accumulate_neighbor_blocked(
-                req.targets_blocked(),
-                rb,
+            let (words, vals) = (ctx.dataset.row_words(id), &ctx.dataset.row(id).vals);
+            let (w, _) = user_weight_view(&out.view, words, vals);
+            accumulate_neighbor_view(
+                &out.view,
+                words,
+                vals,
                 w,
                 ctx.dataset.row_stats(id).mean(),
                 1.0,
-                &mut acc,
+                &mut out.acc,
             );
         }
-        acc
+        out
     }
 }
 
@@ -215,11 +282,15 @@ impl ComposableService for CfService {
     /// Merge per-component partial sums into final predictions (one per
     /// target), using the active user's mean as the baseline — the paper's
     /// composing component for the recommender.
-    fn compose(&self, req: &ActiveUser, parts: &[Vec<PredictionAcc>]) -> Vec<f64> {
+    fn compose(&self, req: &ActiveUser, parts: &[CfOutput]) -> Vec<f64> {
         let mut total = vec![PredictionAcc::default(); req.targets.len()];
         for part in parts {
-            assert_eq!(part.len(), total.len(), "component output arity mismatch");
-            for (t, p) in total.iter_mut().zip(part) {
+            assert_eq!(
+                part.acc.len(),
+                total.len(),
+                "component output arity mismatch"
+            );
+            for (t, p) in total.iter_mut().zip(&part.acc) {
                 t.merge(p);
             }
         }
@@ -293,7 +364,7 @@ mod tests {
         (c, data)
     }
 
-    fn compose(req: &ActiveUser, parts: &[Vec<PredictionAcc>]) -> Vec<f64> {
+    fn compose(req: &ActiveUser, parts: &[CfOutput]) -> Vec<f64> {
         CfService.compose(req, parts)
     }
 
@@ -431,7 +502,10 @@ mod tests {
             .collect();
         let mut corrs = vec![Vec::new(); reqs.len()];
         // Seed one recycled buffer (stale contents) to prove the reset.
-        let mut outs = vec![vec![PredictionAcc { num: 9.0, den: 9.0 }; 7]];
+        let mut outs = vec![CfOutput::from(vec![
+            PredictionAcc { num: 9.0, den: 9.0 };
+            7
+        ])];
         svc.process_synopsis_batch(c.ctx(), &reqs, &mut corrs, &mut outs);
         assert_eq!(outs.len(), reqs.len());
         for ((req, corr), out) in reqs.iter().zip(&corrs).zip(&outs) {
@@ -446,11 +520,33 @@ mod tests {
                     "scores must be bit-identical"
                 );
             }
-            assert_eq!(out.len(), want_out.len());
-            for (a, b) in out.iter().zip(&want_out) {
+            assert_eq!(out.acc.len(), want_out.acc.len());
+            for (a, b) in out.acc.iter().zip(&want_out.acc) {
                 assert_eq!(a.num.to_bits(), b.num.to_bits());
                 assert_eq!(a.den.to_bits(), b.den.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn recycled_output_gives_the_new_requests_bits() {
+        let (c, data) = component();
+        let policy = ExecutionPolicy::budgeted(4);
+        let pool = at_core::OutputPool::new();
+        // Request A spans more columns than B, so A leaves view entries
+        // behind that B's columns never cover.
+        let a = active(&data, 3, vec![1, 5, 79]);
+        let b = active(&data, 40, vec![2, 6]);
+        let first = c.execute_pooled(&a, &policy, Instant::now(), &pool);
+        pool.put(first.output);
+        let recycled = c.execute_pooled(&b, &policy, Instant::now(), &pool);
+        assert_eq!(pool.reuses(), 1, "B must run on A's recycled output");
+        let fresh = c.execute(&b, &policy, Instant::now());
+        assert_eq!(recycled.sets_processed, fresh.sets_processed);
+        assert_eq!(recycled.output.acc.len(), fresh.output.acc.len());
+        for (r, f) in recycled.output.acc.iter().zip(&fresh.output.acc) {
+            assert_eq!(r.num.to_bits(), f.num.to_bits());
+            assert_eq!(r.den.to_bits(), f.den.to_bits());
         }
     }
 
@@ -465,13 +561,14 @@ mod tests {
         // must equal composing the whole.
         let whole = compose(&req, std::slice::from_ref(&exact));
         let half: Vec<PredictionAcc> = exact
+            .acc
             .iter()
             .map(|a| PredictionAcc {
                 num: a.num / 2.0,
                 den: a.den / 2.0,
             })
             .collect();
-        let split = compose(&req, &[half.clone(), half]);
+        let split = compose(&req, &[half.clone().into(), half.into()]);
         assert!((whole[0] - split[0]).abs() < 1e-9);
     }
 }

@@ -19,7 +19,7 @@ pub mod ratings;
 pub mod rmse;
 pub mod topn;
 
-pub use adapter::{section_relatedness, CfService};
+pub use adapter::{section_relatedness, CfOutput, CfService};
 pub use predict::{
     accumulate_neighbor, predict_partial, user_weight, weigh_and_accumulate, PredictionAcc,
 };

@@ -7,7 +7,7 @@
 //! from the CF survey the paper cites.
 
 use at_linalg::pearson::pearson_on_common;
-use at_linalg::{for_each_common_slot, pearson_on_common_blocked, BlockedRow, BlockedSet};
+use at_linalg::{for_each_target_slot, pearson_on_view, RequestView, RowWords};
 use at_synopsis::SparseRow;
 
 use crate::ratings::ActiveUser;
@@ -55,14 +55,14 @@ pub fn user_weight(active: &SparseRow, neighbor: &SparseRow) -> (f64, usize) {
     }
 }
 
-/// Block-aligned [`user_weight`] over cached blocked rows: the serving-path
-/// variant (profile from [`ActiveUser::profile_blocked`], neighbour from
-/// the `RowStore`/`Synopsis` blocked caches). **Bit-identical** to
-/// [`user_weight`] — the blocked kernel folds the same intersection through
-/// the same Welford recurrence in the same order, only the intersection
-/// *discovery* is block-parallel.
-pub fn user_weight_blocked(active: &BlockedRow, neighbor: &BlockedRow) -> (f64, usize) {
-    let (w, common) = pearson_on_common_blocked(active, neighbor);
+/// [`user_weight`] on the serving-path layout: the active user's
+/// [`RequestView`] against a neighbour's occupancy-word index `words` over
+/// its CSR values `vals` (from the `RowStore`/`Synopsis` word indexes).
+/// **Bit-identical** to [`user_weight`] — the word kernel folds the same
+/// intersection through the same Welford recurrence in the same order;
+/// only the intersection *discovery* differs.
+pub fn user_weight_view(view: &RequestView, words: &RowWords, vals: &[f64]) -> (f64, usize) {
+    let (w, common) = pearson_on_view(view, words, vals);
     if common < MIN_COMMON_ITEMS {
         (0.0, common)
     } else {
@@ -121,28 +121,28 @@ pub fn accumulate_neighbor(
     }
 }
 
-/// Block-aligned [`accumulate_neighbor`]: the neighbour's blocked row is
-/// merged against the active user's cached blocked target set
-/// ([`ActiveUser::targets_blocked`]), finding each co-occupied block with
-/// one mask AND and recovering the accumulator slot by branch-free rank
-/// instead of a per-column compare loop.
+/// [`accumulate_neighbor`] on the serving-path layout: the neighbour's
+/// occupancy words (`words` over its CSR values `vals`) are walked against
+/// the target words of the active user's [`RequestView`], each match
+/// taking its accumulator slot from the view by column instead of a
+/// per-column compare loop.
 ///
 /// **Bit-identical** to the scalar merge: matches arrive in the same
 /// ascending column order and the per-match arithmetic is the exact
 /// expression of [`accumulate_neighbor`], unreassociated.
-pub fn accumulate_neighbor_blocked(
-    targets: &BlockedSet,
-    neighbor: &BlockedRow,
+pub fn accumulate_neighbor_view(
+    view: &RequestView,
+    words: &RowWords,
+    vals: &[f64],
     weight: f64,
     neighbor_mean: f64,
     multiplier: f64,
     acc: &mut [PredictionAcc],
 ) {
-    debug_assert_eq!(acc.len(), targets.len());
     if weight == 0.0 {
         return;
     }
-    for_each_common_slot(neighbor, targets, |t, v| {
+    for_each_target_slot(view, words, vals, |t, v| {
         let a = &mut acc[t];
         a.num += weight * (v - neighbor_mean) * multiplier;
         a.den += weight.abs() * multiplier;
@@ -271,7 +271,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernels_are_bit_identical_to_scalar() {
+    fn view_kernels_are_bit_identical_to_scalar() {
         let active = ActiveUser::new(
             row(vec![(0, 5.0), (1, 1.0), (2, 3.0), (8, 2.0), (17, 4.0)]),
             vec![3, 5, 7, 9, 16, 24],
@@ -286,17 +286,23 @@ mod tests {
             (16, 1.0),
             (17, 2.0),
         ]);
-        let nb = BlockedRow::from_sorted(&n.cols, &n.vals);
+        let view = RequestView::build(
+            25,
+            &active.profile.cols,
+            &active.profile.vals,
+            &active.targets,
+        );
+        let nb = RowWords::from_sorted(&n.cols);
         let (ws, cs) = user_weight(&active.profile, &n);
-        let (wb, cb) = user_weight_blocked(active.profile_blocked(), &nb);
+        let (wb, cb) = user_weight_view(&view, &nb, &n.vals);
         assert_eq!(cs, cb);
         assert_eq!(ws.to_bits(), wb.to_bits());
         let mean = at_linalg::RowStats::of(&n.vals).mean();
         let mut scalar = vec![PredictionAcc::default(); active.targets.len()];
         accumulate_neighbor(&active, &n, ws, mean, 2.0, &mut scalar);
-        let mut blocked = vec![PredictionAcc::default(); active.targets.len()];
-        accumulate_neighbor_blocked(active.targets_blocked(), &nb, wb, mean, 2.0, &mut blocked);
-        for (s, b) in scalar.iter().zip(&blocked) {
+        let mut viewed = vec![PredictionAcc::default(); active.targets.len()];
+        accumulate_neighbor_view(&view, &nb, &n.vals, wb, mean, 2.0, &mut viewed);
+        for (s, b) in scalar.iter().zip(&viewed) {
             assert_eq!(s.num.to_bits(), b.num.to_bits());
             assert_eq!(s.den.to_bits(), b.den.to_bits());
         }

@@ -2,7 +2,6 @@
 //! synopsis pipeline and CF algorithm consume.
 
 use at_core::{Fnv1a, RouteKey};
-use at_linalg::{BlockedRow, BlockedSet};
 use at_synopsis::{RowStore, SparseRow};
 use at_workloads::Rating;
 
@@ -25,49 +24,26 @@ pub fn rating_matrix(n_users: usize, n_items: usize, ratings: &[Rating]) -> RowS
 /// An active user's request: their known ratings (for weight computation)
 /// and the items whose ratings to predict.
 ///
-/// `PartialEq` compares profile and targets exactly (the blocked caches are
-/// pure functions of them, so they compare consistently); the batched
-/// serving path uses it to collapse duplicate requests in one batch.
+/// `PartialEq` compares profile and targets exactly; the batched serving
+/// path uses it to collapse duplicate requests in one batch.
 ///
-/// The blocked renderings of the profile and target list are built once at
-/// [`new`](ActiveUser::new) — request construction, off the warm path — so
-/// the serving kernels read dense lanes without per-request conversion.
-/// They stay private: every construction goes through `new`, which keeps
-/// them in sync with the public fields.
+/// A request carries nothing but its CSR profile and sorted targets: the
+/// direct-indexed view the row kernels read is built from them once per
+/// component leg, into the leg's pooled output (see `CfService`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ActiveUser {
     /// The active user's profile: item → rating.
     pub profile: SparseRow,
     /// Items to predict, sorted ascending.
     pub targets: Vec<u32>,
-    blocked_profile: BlockedRow,
-    blocked_targets: BlockedSet,
 }
 
 impl ActiveUser {
-    /// Build a request; sorts and dedups targets, and caches the blocked
-    /// renderings the block-aligned kernels consume.
+    /// Build a request; sorts and dedups targets.
     pub fn new(profile: SparseRow, mut targets: Vec<u32>) -> Self {
         targets.sort_unstable();
         targets.dedup();
-        let blocked_profile = BlockedRow::from_sorted(&profile.cols, &profile.vals);
-        let blocked_targets = BlockedSet::from_sorted(&targets);
-        ActiveUser {
-            profile,
-            targets,
-            blocked_profile,
-            blocked_targets,
-        }
-    }
-
-    /// Cached blocked rendering of the profile row.
-    pub fn profile_blocked(&self) -> &BlockedRow {
-        &self.blocked_profile
-    }
-
-    /// Cached blocked membership/rank set over `targets`.
-    pub fn targets_blocked(&self) -> &BlockedSet {
-        &self.blocked_targets
+        ActiveUser { profile, targets }
     }
 
     /// The user's mean rating (fallback prediction); 3.0 for empty profiles

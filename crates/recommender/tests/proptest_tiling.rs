@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 
 use at_core::{ApproximateService, Component};
 use at_linalg::svd::SvdConfig;
-use at_recommender::{rating_matrix, ActiveUser, CfService, PredictionAcc};
+use at_recommender::{rating_matrix, ActiveUser, CfOutput, CfService};
 use at_synopsis::{AggregationMode, SparseRow, SynopsisConfig};
 use at_workloads::{RatingsConfig, RatingsDataset};
 use proptest::prelude::*;
@@ -59,7 +59,7 @@ proptest! {
             .map(|&(u, t)| active(data, u, vec![t, (t + 13) % 80]))
             .collect();
         let mut corrs = vec![Vec::new(); reqs.len()];
-        let mut outs: Vec<Vec<PredictionAcc>> = Vec::new();
+        let mut outs: Vec<CfOutput> = Vec::new();
         svc.process_synopsis_batch(c.ctx(), &reqs, &mut corrs, &mut outs);
         prop_assert_eq!(outs.len(), reqs.len());
         for ((req, corr), out) in reqs.iter().zip(&corrs).zip(&outs) {
@@ -70,8 +70,8 @@ proptest! {
                 prop_assert_eq!(a.node, b.node);
                 prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
             }
-            prop_assert_eq!(out.len(), want_out.len());
-            for (a, b) in out.iter().zip(&want_out) {
+            prop_assert_eq!(out.acc.len(), want_out.acc.len());
+            for (a, b) in out.acc.iter().zip(&want_out.acc) {
                 prop_assert_eq!(a.num.to_bits(), b.num.to_bits());
                 prop_assert_eq!(a.den.to_bits(), b.den.to_bits());
             }

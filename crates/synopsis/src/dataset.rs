@@ -8,7 +8,7 @@
 //! synopsis *updating* can add and change points in place.
 
 use at_linalg::sparse::{SparseMatrix, SparseMatrixBuilder};
-use at_linalg::{BlockedRow, RowStats};
+use at_linalg::{RowStats, RowWords};
 
 /// How a group of original rows is folded into one aggregated data point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,15 +29,17 @@ pub enum AggregationMode {
 /// current by [`push_row`](RowStore::push_row) /
 /// [`replace_row`](RowStore::replace_row), so the per-request serving path
 /// reads a neighbour's mean in `O(1)` instead of rescanning its values.
-/// A [`BlockedRow`] rendering of every row is cached the same way (built at
-/// push/replace time, never on the serving path) so the block-aligned
-/// correlation kernels read dense lanes instead of re-walking the CSR view.
+/// A [`RowWords`] occupancy-word index of every row is kept the same way
+/// (built at push/replace time, never on the serving path): the CF row
+/// kernels walk its 64-column words against the request view and read the
+/// values straight from the row's CSR storage, so the index holds no second
+/// copy of them.
 #[derive(Clone, Debug, Default)]
 pub struct RowStore {
     feature_dim: usize,
     rows: Vec<SparseRow>,
     stats: Vec<RowStats>,
-    blocked: Vec<BlockedRow>,
+    words: Vec<RowWords>,
 }
 
 /// One sparse row: parallel `(cols, vals)` with `cols` sorted ascending.
@@ -87,7 +89,7 @@ impl RowStore {
             feature_dim,
             rows: Vec::new(),
             stats: Vec::new(),
-            blocked: Vec::new(),
+            words: Vec::new(),
         }
     }
 
@@ -119,8 +121,7 @@ impl RowStore {
             );
         }
         self.stats.push(RowStats::of(&row.vals));
-        self.blocked
-            .push(BlockedRow::from_sorted(&row.cols, &row.vals));
+        self.words.push(RowWords::from_sorted(&row.cols));
         self.rows.push(row);
         (self.rows.len() - 1) as u64
     }
@@ -143,7 +144,7 @@ impl RowStore {
             .get_mut(id as usize)
             .unwrap_or_else(|| panic!("replace_row: id {id} out of range"));
         self.stats[id as usize] = RowStats::of(&row.vals);
-        self.blocked[id as usize] = BlockedRow::from_sorted(&row.cols, &row.vals);
+        self.words[id as usize] = RowWords::from_sorted(&row.cols);
         *slot = row;
     }
 
@@ -164,14 +165,14 @@ impl RowStore {
         self.stats[id as usize]
     }
 
-    /// Cached blocked rendering of row `id`, maintained like
-    /// [`row_stats`](Self::row_stats): the serving path reads it without
-    /// rebuilding anything.
+    /// Occupancy-word index of row `id` (over the values of
+    /// [`row`](Self::row)), maintained like [`row_stats`](Self::row_stats):
+    /// the serving path reads it without rebuilding anything.
     ///
     /// # Panics
     /// Panics if out of range.
-    pub fn row_blocked(&self, id: u64) -> &BlockedRow {
-        &self.blocked[id as usize]
+    pub fn row_words(&self, id: u64) -> &RowWords {
+        &self.words[id as usize]
     }
 
     /// All row ids (`0..len`).
@@ -260,15 +261,17 @@ mod tests {
     }
 
     #[test]
-    fn blocked_cache_tracks_mutations() {
+    fn word_index_tracks_mutations() {
         let mut s = store();
-        let (cols, vals) = s.row_blocked(0).to_sorted();
-        assert_eq!((cols, vals), (vec![0, 2], vec![4.0, 2.0]));
+        let decoded = |s: &RowStore, id: u64| {
+            let cols: Vec<u32> = s.row_words(id).cols().collect();
+            (cols, s.row(id).vals.clone())
+        };
+        assert_eq!(decoded(&s, 0), (vec![0, 2], vec![4.0, 2.0]));
         s.replace_row(0, SparseRow::from_pairs(vec![(1, 9.0), (4, 3.0)]));
-        let (cols, vals) = s.row_blocked(0).to_sorted();
-        assert_eq!((cols, vals), (vec![1, 4], vec![9.0, 3.0]));
+        assert_eq!(decoded(&s, 0), (vec![1, 4], vec![9.0, 3.0]));
         let id = s.push_row(SparseRow::from_pairs(vec![(3, 7.0)]));
-        assert_eq!(s.row_blocked(id).to_sorted(), (vec![3], vec![7.0]));
+        assert_eq!(decoded(&s, id), (vec![3], vec![7.0]));
     }
 
     #[test]

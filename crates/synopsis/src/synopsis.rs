@@ -1,7 +1,7 @@
 //! The synopsis itself: the set of aggregated data points.
 
 use crate::dataset::{AggregationMode, SparseRow};
-use at_linalg::{BlockedRow, RowStats};
+use at_linalg::{RowStats, RowWords};
 use at_rtree::NodeId;
 
 /// One aggregated data point: the folded information of a group of similar
@@ -39,10 +39,10 @@ pub struct Synopsis {
     mode: AggregationMode,
     /// `(point, stats)` entries sorted ascending by `point.node`.
     points: Vec<(AggregatedPoint, RowStats)>,
-    /// Blocked rendering of each point's row, index-parallel to `points`
-    /// and maintained by the same `upsert`/`remove` mutations — the batch
-    /// pass reads dense lanes without touching the CSR view.
-    blocked: Vec<BlockedRow>,
+    /// Occupancy-word index of each point's row (over its CSR values),
+    /// index-parallel to `points` and maintained by the same
+    /// `upsert`/`remove` mutations.
+    words: Vec<RowWords>,
 }
 
 impl Synopsis {
@@ -51,7 +51,7 @@ impl Synopsis {
         Synopsis {
             mode,
             points: Vec::new(),
-            blocked: Vec::new(),
+            words: Vec::new(),
         }
     }
 
@@ -94,18 +94,18 @@ impl Synopsis {
     }
 
     /// Insert or replace the aggregated point for `node`, refreshing its
-    /// cached row stats and blocked rendering.
+    /// cached row stats and word index.
     pub fn upsert(&mut self, point: AggregatedPoint) {
         let stats = RowStats::of(&point.info.vals);
-        let blocked = BlockedRow::from_sorted(&point.info.cols, &point.info.vals);
+        let words = RowWords::from_sorted(&point.info.cols);
         match self.position(point.node) {
             Ok(i) => {
                 self.points[i] = (point, stats);
-                self.blocked[i] = blocked;
+                self.words[i] = words;
             }
             Err(i) => {
                 self.points.insert(i, (point, stats));
-                self.blocked.insert(i, blocked);
+                self.words.insert(i, words);
             }
         }
     }
@@ -116,7 +116,7 @@ impl Synopsis {
         match self.position(node) {
             Ok(i) => {
                 self.points.remove(i);
-                self.blocked.remove(i);
+                self.words.remove(i);
                 true
             }
             Err(_) => false,
@@ -147,22 +147,26 @@ impl Synopsis {
         &self.points
     }
 
-    /// Blocked rendering of every aggregated row, index-parallel to
+    /// Occupancy-word index of every aggregated row, index-parallel to
     /// [`points_with_stats`](Self::points_with_stats) (same node-id order,
     /// same length). The batch pass zips the two slices so each point's
-    /// dense lanes ride along with its stats.
-    pub fn points_blocked(&self) -> &[BlockedRow] {
-        &self.blocked
+    /// words ride along with its stats.
+    pub fn points_words(&self) -> &[RowWords] {
+        &self.words
     }
 
-    /// The aggregated point of `node` with its cached stats **and** blocked
-    /// rendering — the stage-2 improvement path backs a point out of the
-    /// running accumulators through the same blocked kernels it was folded
-    /// in with.
-    pub fn point_full(&self, node: NodeId) -> Option<(&AggregatedPoint, RowStats, &BlockedRow)> {
+    /// The aggregated point of `node` with its position in
+    /// [`points_with_stats`](Self::points_with_stats), its cached stats
+    /// **and** its word index — the stage-2 improvement path backs a point
+    /// out of the running accumulators through the same kernels it was
+    /// folded in with, and finds the point's stage-1 results by position.
+    pub fn point_full(
+        &self,
+        node: NodeId,
+    ) -> Option<(usize, &AggregatedPoint, RowStats, &RowWords)> {
         self.position(node).ok().map(|i| {
             let (p, s) = &self.points[i];
-            (p, *s, &self.blocked[i])
+            (i, p, *s, &self.words[i])
         })
     }
 }
@@ -249,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_slice_stays_parallel_through_mutations() {
+    fn word_slice_stays_parallel_through_mutations() {
         let mut s = Synopsis::new(AggregationMode::Mean);
         for i in [5u32, 1, 9, 3] {
             s.upsert(pt(i, 1));
@@ -257,14 +261,15 @@ mod tests {
         assert!(s.remove(NodeId::from_index(3)));
         s.upsert(pt(7, 2));
         let points = s.points_with_stats();
-        let blocked = s.points_blocked();
-        assert_eq!(points.len(), blocked.len());
-        for ((p, _), b) in points.iter().zip(blocked) {
-            assert_eq!(b.to_sorted(), (p.info.cols.clone(), p.info.vals.clone()));
+        let words = s.points_words();
+        assert_eq!(points.len(), words.len());
+        for ((p, _), w) in points.iter().zip(words) {
+            assert_eq!(w.cols().collect::<Vec<_>>(), p.info.cols);
         }
-        let (p, _, b) = s.point_full(NodeId::from_index(7)).unwrap();
+        let (i, p, _, w) = s.point_full(NodeId::from_index(7)).unwrap();
         assert_eq!(p.member_count, 2);
-        assert_eq!(b.to_sorted().0, p.info.cols);
+        assert_eq!(points[i].0.node, NodeId::from_index(7));
+        assert_eq!(w.cols().collect::<Vec<_>>(), p.info.cols);
     }
 
     #[test]

@@ -122,9 +122,10 @@ proptest! {
     }
 
     #[test]
-    fn blocked_rowstore_round_trips_csr_view(ops in prop::collection::vec(op_strategy(), 1..25)) {
-        // The bucketed (blocked) row cache must stay a bit-exact mirror of
-        // the CSR view through arbitrary push/replace sequences.
+    fn row_words_track_csr_view(ops in prop::collection::vec(op_strategy(), 1..25)) {
+        // The occupancy-word index must stay an exact mirror of the CSR
+        // columns through arbitrary push/replace sequences; its values are
+        // the CSR values themselves.
         let mut data = base_dataset(40);
         for op in &ops {
             match op {
@@ -138,7 +139,8 @@ proptest! {
         }
         let csr = data.to_csr();
         for id in 0..data.len() {
-            let (cols, vals) = data.row_blocked(id as u64).to_sorted();
+            let cols: Vec<u32> = data.row_words(id as u64).cols().collect();
+            let vals = &data.row(id as u64).vals;
             prop_assert_eq!(cols.as_slice(), csr.row_cols(id), "row {} cols", id);
             let want = csr.row_values(id);
             prop_assert_eq!(vals.len(), want.len());
